@@ -1,9 +1,9 @@
 //! The shared-memory symmetry-adapted basis.
 
 use crate::enumerate;
-use crate::sector::{BasisError, SectorSpec};
+use crate::sector::SectorSpec;
 use ls_kernels::combinadics::BinomialTable;
-use ls_kernels::search::{PrefixIndex, TrieIndex, NOT_FOUND};
+use ls_kernels::search::{PrefixIndex, NOT_FOUND};
 use ls_kernels::SiteEncoding;
 
 /// A generated state that has no rank in the basis — raised when an
@@ -47,19 +47,15 @@ pub fn missing_state(rep: u64, encoding: SiteEncoding, n_sites: u32) -> ! {
     panic!("{}", MissingState { rep, encoding, n_sites });
 }
 
-/// How `state -> index` ranking is performed.
+/// How `state -> index` ranking is performed — a function of the sector
+/// alone, fixed when the basis is assembled.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum RankingKind {
-    /// Binary search over the sorted representative list.
-    BinarySearch,
-    /// Prefix-bucket index + short binary search (default).
+    /// Prefix-bucket index + short binary search (every sector that is
+    /// not U(1)-only spin-1/2).
     PrefixBuckets,
-    /// Closed-form combinadic ranking — only valid for U(1)-only sectors.
+    /// Closed-form combinadic ranking (U(1)-only spin-1/2 sectors).
     Combinadic,
-    /// Radix trie (Wallerberger & Held, the paper's Ref.\ 25): fixed
-    /// number of dependent loads, no comparisons; built lazily on first
-    /// selection.
-    Trie,
 }
 
 /// A fully built symmetry sector basis: the sorted list of representatives
@@ -70,9 +66,8 @@ pub struct SpinBasis {
     states: Vec<u64>,
     orbit_sizes: Vec<u32>,
     prefix: PrefixIndex,
+    /// Present exactly when the sector ranks combinadically.
     combinadic: Option<BinomialTable>,
-    trie: Option<TrieIndex>,
-    ranking: RankingKind,
 }
 
 impl SpinBasis {
@@ -107,12 +102,7 @@ impl SpinBasis {
         } else {
             None
         };
-        let ranking = if combinadic.is_some() {
-            RankingKind::Combinadic
-        } else {
-            RankingKind::PrefixBuckets
-        };
-        Self { sector, states, orbit_sizes, prefix, combinadic, trie: None, ranking }
+        Self { sector, states, orbit_sizes, prefix, combinadic }
     }
 
     pub fn sector(&self) -> &SectorSpec {
@@ -141,9 +131,8 @@ impl SpinBasis {
     /// the basis. This is the paper's `stateToIndex`.
     #[inline]
     pub fn index_of(&self, rep: u64) -> Option<usize> {
-        match self.ranking {
-            RankingKind::Combinadic => {
-                let t = self.combinadic.as_ref().unwrap();
+        match &self.combinadic {
+            Some(t) => {
                 let idx = t.rank(rep) as usize;
                 // Combinadic rank is only meaningful for the right weight.
                 if rep.count_ones() == self.sector.hamming_weight().unwrap()
@@ -155,11 +144,7 @@ impl SpinBasis {
                     None
                 }
             }
-            RankingKind::PrefixBuckets => self.prefix.lookup(&self.states, rep),
-            RankingKind::BinarySearch => self.states.binary_search(&rep).ok(),
-            RankingKind::Trie => {
-                self.trie.as_ref().expect("trie built on selection").lookup(rep)
-            }
+            None => self.prefix.lookup(&self.states, rep),
         }
     }
 
@@ -179,12 +164,11 @@ impl SpinBasis {
 
     /// Batched ranking: resolves a whole block of representatives into
     /// `out`, one `u32` rank (or [`NOT_FOUND`]) per input. Dispatches to
-    /// the interleaved bulk kernels of the active [`RankingKind`] — this
-    /// is the `stateToIndex` the batched matvec strategies use.
+    /// the bulk kernel of the sector's [`RankingKind`] — this is the
+    /// `stateToIndex` the batched matvec uses.
     pub fn index_of_batch(&self, reps: &[u64], out: &mut Vec<u32>) {
-        match self.ranking {
-            RankingKind::Combinadic => {
-                let t = self.combinadic.as_ref().unwrap();
+        match &self.combinadic {
+            Some(t) => {
                 let weight = self.sector.hamming_weight().unwrap();
                 let len = self.states.len();
                 out.clear();
@@ -198,46 +182,19 @@ impl SpinBasis {
                     }
                 }));
             }
-            RankingKind::PrefixBuckets => self.prefix.lookup_batch(&self.states, reps, out),
-            RankingKind::BinarySearch => {
-                out.clear();
-                out.extend(reps.iter().map(|&rep| {
-                    self.states.binary_search(&rep).map_or(NOT_FOUND, |i| i as u32)
-                }));
-            }
-            RankingKind::Trie => {
-                self.trie.as_ref().expect("trie built on selection").lookup_batch(reps, out)
-            }
+            None => self.prefix.lookup_batch(&self.states, reps, out),
         }
     }
 
-    /// Forces a particular ranking implementation (ablation benches).
-    ///
-    /// A request the sector cannot honour (combinadic ranking off the
-    /// U(1)-only spin-1/2 case) falls back to [`RankingKind::PrefixBuckets`]
-    /// instead of failing; use [`Self::try_set_ranking`] to observe the
-    /// rejection.
-    pub fn set_ranking(&mut self, kind: RankingKind) {
-        let _ = self.try_set_ranking(kind);
-    }
-
-    /// Like [`Self::set_ranking`], but reports whether the request could
-    /// be honoured. On `Err` the basis is left on the always-valid
-    /// [`RankingKind::PrefixBuckets`] ranking.
-    pub fn try_set_ranking(&mut self, kind: RankingKind) -> Result<RankingKind, BasisError> {
-        if kind == RankingKind::Combinadic && self.combinadic.is_none() {
-            self.ranking = RankingKind::PrefixBuckets;
-            return Err(BasisError::RankingUnavailable { requested: "combinadic" });
-        }
-        if kind == RankingKind::Trie && self.trie.is_none() {
-            self.trie = Some(TrieIndex::build(&self.states, self.sector.code_bits(), 8));
-        }
-        self.ranking = kind;
-        Ok(kind)
-    }
-
+    /// The ranking the sector uses: [`RankingKind::Combinadic`] for
+    /// U(1)-only spin-1/2 sectors, [`RankingKind::PrefixBuckets`]
+    /// otherwise.
     pub fn ranking(&self) -> RankingKind {
-        self.ranking
+        if self.combinadic.is_some() {
+            RankingKind::Combinadic
+        } else {
+            RankingKind::PrefixBuckets
+        }
     }
 
     /// The combinadic ranking table, present exactly when the sector is
@@ -256,6 +213,7 @@ impl SpinBasis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ls_kernels::search::binary_search;
     use ls_symmetry::lattice;
 
     fn chain_basis(n: usize) -> SpinBasis {
@@ -274,43 +232,33 @@ mod tests {
         assert_eq!(basis.index_of(0b1000_0000_0001), None);
     }
 
-    #[test]
-    fn ranking_kinds_agree() {
-        let mut basis = chain_basis(10);
-        let probes: Vec<u64> = (0..1024).collect();
-        let with_prefix: Vec<Option<usize>> =
-            probes.iter().map(|&p| basis.index_of(p)).collect();
-        basis.set_ranking(RankingKind::BinarySearch);
-        let with_bs: Vec<Option<usize>> = probes.iter().map(|&p| basis.index_of(p)).collect();
-        assert_eq!(with_prefix, with_bs);
-        basis.set_ranking(RankingKind::Trie);
-        let with_trie: Vec<Option<usize>> = probes.iter().map(|&p| basis.index_of(p)).collect();
-        assert_eq!(with_prefix, with_trie);
+    /// Scalar and batched ranking of `basis` both agree with the
+    /// binary-search oracle on every probe.
+    fn assert_ranks_like_binary_search(basis: &SpinBasis, probes: &[u64]) {
+        let mut out = Vec::new();
+        basis.index_of_batch(probes, &mut out);
+        assert_eq!(out.len(), probes.len());
+        for (&p, &o) in probes.iter().zip(&out) {
+            let expect = binary_search(basis.states(), p);
+            assert_eq!(basis.index_of(p), expect, "{:?} probe={p:#b}", basis.ranking());
+            assert_eq!(o, expect.map_or(NOT_FOUND, |i| i as u32), "batch probe={p:#b}");
+        }
     }
 
     #[test]
-    fn batch_ranking_matches_scalar_for_all_kinds() {
-        let mut basis = chain_basis(10);
+    fn ranking_kinds_agree() {
+        // PrefixBuckets on a symmetrized sector.
+        let basis = chain_basis(10);
+        assert_eq!(basis.ranking(), RankingKind::PrefixBuckets);
         let mut probes: Vec<u64> = basis.states().to_vec();
         probes.extend(0..1024u64); // mostly absent
         probes.push(u64::MAX);
-        let mut out = Vec::new();
-        for kind in [RankingKind::PrefixBuckets, RankingKind::BinarySearch, RankingKind::Trie] {
-            basis.set_ranking(kind);
-            basis.index_of_batch(&probes, &mut out);
-            assert_eq!(out.len(), probes.len());
-            for (&p, &o) in probes.iter().zip(&out) {
-                let expect = basis.index_of(p).map_or(NOT_FOUND, |i| i as u32);
-                assert_eq!(o, expect, "{kind:?} probe={p:#b}");
-            }
-        }
-        // Combinadic kind on a U(1)-only basis.
+        assert_ranks_like_binary_search(&basis, &probes);
+        // Combinadic on a U(1)-only basis.
         let basis = SpinBasis::build(SectorSpec::with_weight(12, 6).unwrap());
         assert_eq!(basis.ranking(), RankingKind::Combinadic);
-        basis.index_of_batch(&probes, &mut out);
-        for (&p, &o) in probes.iter().zip(&out) {
-            assert_eq!(o, basis.index_of(p).map_or(NOT_FOUND, |i| i as u32));
-        }
+        probes.extend(0..1 << 12);
+        assert_ranks_like_binary_search(&basis, &probes);
     }
 
     #[test]
@@ -343,27 +291,14 @@ mod tests {
     }
 
     #[test]
-    fn combinadic_falls_back_outside_u1_only() {
-        // Symmetry-adapted sector: combinadic is impossible; the request
-        // reports the typed error and the basis stays usable on
-        // PrefixBuckets.
-        let mut basis = chain_basis(8);
-        assert_eq!(
-            basis.try_set_ranking(RankingKind::Combinadic),
-            Err(BasisError::RankingUnavailable { requested: "combinadic" })
-        );
-        assert_eq!(basis.ranking(), RankingKind::PrefixBuckets);
-        for (i, &s) in basis.states().iter().enumerate() {
-            assert_eq!(basis.index_of(s), Some(i));
-        }
-        // The infallible setter silently takes the same fallback.
-        basis.set_ranking(RankingKind::Combinadic);
-        assert_eq!(basis.ranking(), RankingKind::PrefixBuckets);
+    fn combinadic_only_for_u1_only_spin_half() {
+        // Symmetry-adapted sector: combinadic ranking is impossible.
+        assert_eq!(chain_basis(8).ranking(), RankingKind::PrefixBuckets);
         // Charge-constrained fermionic sector: states are not the full
-        // fixed-weight range, so combinadic must also be refused.
-        let mut fermi = SpinBasis::build(SectorSpec::spinful_fermions(3, 1, 1).unwrap());
+        // fixed-weight range, so combinadic ranking is impossible too.
+        let fermi = SpinBasis::build(SectorSpec::spinful_fermions(3, 1, 1).unwrap());
         assert_eq!(fermi.ranking(), RankingKind::PrefixBuckets);
-        assert!(fermi.try_set_ranking(RankingKind::Combinadic).is_err());
+        assert!(fermi.combinadic_table().is_none());
     }
 
     #[test]
@@ -377,15 +312,10 @@ mod tests {
         // Wrong species count is absent even though total weight matches.
         assert_eq!(basis.index_of(0b0000_1111), None);
 
-        let mut spin1 = SpinBasis::build(SectorSpec::spin_s(5, 3, Some(5)).unwrap());
+        let spin1 = SpinBasis::build(SectorSpec::spin_s(5, 3, Some(5)).unwrap());
         assert_eq!(spin1.dim() as u64, spin1.sector().dimension());
         let probes: Vec<u64> = (0..1 << 10).collect();
-        let expect: Vec<Option<usize>> = probes.iter().map(|&p| spin1.index_of(p)).collect();
-        for kind in [RankingKind::BinarySearch, RankingKind::Trie] {
-            spin1.set_ranking(kind);
-            let got: Vec<Option<usize>> = probes.iter().map(|&p| spin1.index_of(p)).collect();
-            assert_eq!(got, expect, "{kind:?}");
-        }
+        assert_ranks_like_binary_search(&spin1, &probes);
     }
 
     #[test]

@@ -39,9 +39,6 @@ pub enum BasisError {
     /// A charge constraint is malformed: weight above the mask's
     /// popcount, mask outside the site range, or masks overlapping.
     ChargeOutOfRange { mask: u64, weight: u32 },
-    /// The requested ranking structure is not available for this sector
-    /// (combinadic ranking needs a U(1)-only spin-1/2 sector).
-    RankingUnavailable { requested: &'static str },
 }
 
 impl std::fmt::Display for BasisError {
@@ -82,9 +79,6 @@ impl std::fmt::Display for BasisError {
             }
             Self::ChargeOutOfRange { mask, weight } => {
                 write!(f, "charge weight {weight} invalid for mask {mask:#x}")
-            }
-            Self::RankingUnavailable { requested } => {
-                write!(f, "{requested} ranking requires a U(1)-only spin-1/2 sector")
             }
         }
     }

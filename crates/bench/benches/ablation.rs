@@ -1,46 +1,57 @@
 //! Ablation benchmarks for the design choices called out in DESIGN.md.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ls_basis::basis::RankingKind;
 use ls_basis::{SectorSpec, SpinBasis};
 use ls_kernels::bits::FixedWeightRange;
+use ls_kernels::search::PrefixIndex;
 use ls_kernels::sort::{apply_perm, counting_sort_perm};
 
-/// Ranking: prefix buckets vs plain binary search vs combinadics, one
-/// lookup at a time vs the interleaved bulk kernels.
+/// Ranking: combinadics (the U(1) sector's own ranking) vs the
+/// prefix-bucket index every other sector uses, over the same states,
+/// one lookup at a time vs the interleaved bulk kernels.
 fn bench_ranking(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_ranking");
     g.sample_size(15);
-    let mut basis = SpinBasis::build(SectorSpec::with_weight(24, 12).unwrap());
+    let basis = SpinBasis::build(SectorSpec::with_weight(24, 12).unwrap());
     let probes: Vec<u64> = (0..basis.dim()).step_by(7).map(|i| basis.state(i)).collect();
-    for kind in [
-        RankingKind::Combinadic,
-        RankingKind::PrefixBuckets,
-        RankingKind::BinarySearch,
-        RankingKind::Trie,
-    ] {
-        basis.set_ranking(kind);
-        g.bench_function(format!("{kind:?}"), |b| {
-            b.iter(|| {
-                let mut acc = 0usize;
-                for &p in &probes {
-                    acc += basis.index_of(black_box(p)).unwrap();
-                }
-                acc
-            })
-        });
-        let mut out = Vec::new();
-        g.bench_function(format!("{kind:?}_batch"), |b| {
-            b.iter(|| {
-                basis.index_of_batch(black_box(&probes), &mut out);
-                out.iter().map(|&i| i as usize).sum::<usize>()
-            })
-        });
-    }
+    g.bench_function("Combinadic", |b| {
+        b.iter(|| {
+            let mut acc = 0usize;
+            for &p in &probes {
+                acc += basis.index_of(black_box(p)).unwrap();
+            }
+            acc
+        })
+    });
+    let mut out = Vec::new();
+    g.bench_function("Combinadic_batch", |b| {
+        b.iter(|| {
+            basis.index_of_batch(black_box(&probes), &mut out);
+            out.iter().map(|&i| i as usize).sum::<usize>()
+        })
+    });
+    let states = basis.states();
+    let prefix = PrefixIndex::auto(states, basis.sector().code_bits());
+    g.bench_function("PrefixBuckets", |b| {
+        b.iter(|| {
+            let mut acc = 0usize;
+            for &p in &probes {
+                acc += prefix.lookup(states, black_box(p)).unwrap();
+            }
+            acc
+        })
+    });
+    g.bench_function("PrefixBuckets_batch", |b| {
+        b.iter(|| {
+            prefix.lookup_batch(states, black_box(&probes), &mut out);
+            out.iter().map(|&i| i as usize).sum::<usize>()
+        })
+    });
     g.finish();
 }
 
-/// Shared-memory matvec: scalar vs batched strategies on a U(1) sector.
+/// Shared-memory matvec: the scalar pull vs the batched pull on a U(1)
+/// sector.
 fn bench_matvec_strategies(c: &mut Criterion) {
     use ls_basis::SymmetrizedOperator;
     use ls_core::matvec;
@@ -64,12 +75,6 @@ fn bench_matvec_strategies(c: &mut Criterion) {
     });
     g.bench_function("pull_batched", |b| {
         b.iter(|| matvec::apply_batched_pull_pooled(&op, &basis, black_box(&x), &mut y, &pool))
-    });
-    g.bench_function("push_atomic", |b| {
-        b.iter(|| matvec::apply_push_pooled(&op, &basis, black_box(&x), &mut y, &pool))
-    });
-    g.bench_function("push_batched", |b| {
-        b.iter(|| matvec::apply_batched_push_pooled(&op, &basis, black_box(&x), &mut y, &pool))
     });
     g.finish();
 }

@@ -3,7 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ls_basis::{SectorSpec, SpinBasis, SymmetrizedOperator};
-use ls_core::matvec::{apply_pull, apply_push, apply_serial};
+use ls_core::matvec::{apply_batched_pull, apply_pull, apply_serial};
 use ls_expr::builders::heisenberg;
 use ls_symmetry::lattice;
 
@@ -54,8 +54,8 @@ fn bench_strategies(c: &mut Criterion) {
     g.bench_function("pull_parallel", |b| {
         b.iter(|| apply_pull(&op, &basis, black_box(&x), &mut y))
     });
-    g.bench_function("push_atomic", |b| {
-        b.iter(|| apply_push(&op, &basis, black_box(&x), &mut y))
+    g.bench_function("batched_pull", |b| {
+        b.iter(|| apply_batched_pull(&op, &basis, black_box(&x), &mut y))
     });
     g.finish();
 }

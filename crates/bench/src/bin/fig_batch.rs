@@ -1,12 +1,12 @@
 //! Batched vs scalar matrix-vector products: the ablation behind the
-//! batched engine (`MatvecStrategy::BatchedPull` / `BatchedPush`).
+//! batched engine (`matvec::apply_batched_pull`).
 //!
-//! Times every shared-memory strategy against every applicable
-//! `RankingKind` on a U(1) sector (and a fully symmetrized sector for the
-//! `state_info_batch` path), verifies agreement against the serial
-//! reference while doing so, and emits the measurements as
-//! `BENCH_matvec.json` so the repository's performance trajectory is
-//! recorded run over run.
+//! Times the batched pull against its two scalar oracles (the serial
+//! push-order reference and the scalar pull) on a U(1) sector and on a
+//! fully symmetrized sector (the `state_info_batch` path), each at the
+//! sector's own ranking, verifies agreement against the serial reference
+//! while doing so, and emits the measurements as `BENCH_matvec.json` so
+//! the repository's performance trajectory is recorded run over run.
 //!
 //! ```sh
 //! cargo run --release -p ls-bench --bin fig_batch -- \
@@ -15,24 +15,27 @@
 
 use ls_basis::basis::RankingKind;
 use ls_basis::{SectorSpec, SpinBasis, SymmetrizedOperator};
-use ls_core::matvec::{
-    apply_batched_pull_pooled, apply_batched_push_pooled, apply_pull_pooled, apply_push_pooled,
-    apply_serial_pooled,
-};
-use ls_core::{MatvecScratchPool, MatvecStrategy};
+use ls_core::matvec::{apply_batched_pull_pooled, apply_pull_pooled, apply_serial_pooled};
+use ls_core::MatvecScratchPool;
 use ls_symmetry::lattice::{chain_bonds, chain_group};
 
-const STRATEGIES: [MatvecStrategy; 5] = [
-    MatvecStrategy::Serial,
-    MatvecStrategy::PullParallel,
-    MatvecStrategy::PushAtomic,
-    MatvecStrategy::BatchedPull,
-    MatvecStrategy::BatchedPush,
-];
+/// The timed shared-memory paths; the `Debug` names are the `strategy`
+/// labels of `BENCH_matvec.json`.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum Strategy {
+    /// `apply_serial`: single-threaded push-order oracle.
+    Serial,
+    /// `apply_pull`: scalar gather, the batched pull's bit-exact twin.
+    PullParallel,
+    /// `apply_batched_pull`: the production path.
+    BatchedPull,
+}
+
+const STRATEGIES: [Strategy; 3] =
+    [Strategy::Serial, Strategy::PullParallel, Strategy::BatchedPull];
 
 struct Measurement {
-    strategy: MatvecStrategy,
-    ranking: RankingKind,
+    strategy: Strategy,
     seconds: f64,
 }
 
@@ -41,7 +44,7 @@ struct SectorReport {
     n_sites: usize,
     dim: usize,
     group_order: usize,
-    default_ranking: RankingKind,
+    ranking: RankingKind,
     /// Off-diagonal row entries of the sector (for the traffic model).
     nnz_offdiag: usize,
     /// Modelled bytes moved by one matvec (see
@@ -51,13 +54,13 @@ struct SectorReport {
 }
 
 impl SectorReport {
-    /// Median seconds of `strategy` at the sector's default ranking.
-    fn default_time(&self, strategy: MatvecStrategy) -> f64 {
+    /// Median seconds of `strategy`.
+    fn time(&self, strategy: Strategy) -> f64 {
         self.results
             .iter()
-            .find(|m| m.strategy == strategy && m.ranking == self.default_ranking)
+            .find(|m| m.strategy == strategy)
             .map(|m| m.seconds)
-            .expect("strategy measured at the default ranking")
+            .expect("every strategy is measured")
     }
 
     /// Achieved bandwidth of a measurement under the traffic model.
@@ -74,7 +77,7 @@ impl SectorReport {
                     "      {{\"strategy\": \"{:?}\", \"ranking\": \"{:?}\", \
                      \"seconds\": {:.9}, \"gbps\": {:.4}, \"roofline_frac\": {:.4}}}",
                     m.strategy,
-                    m.ranking,
+                    self.ranking,
                     m.seconds,
                     self.gbps(m.seconds),
                     self.gbps(m.seconds) / stream_gbps
@@ -90,7 +93,7 @@ impl SectorReport {
             self.n_sites,
             self.dim,
             self.group_order,
-            self.default_ranking,
+            self.ranking,
             self.nnz_offdiag,
             self.bytes_moved,
             rows.join(",\n")
@@ -109,8 +112,7 @@ fn run_sector(
         .unwrap();
     let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
     let group_order = sector.group().order();
-    let mut basis = SpinBasis::build(sector);
-    let default_ranking = basis.ranking();
+    let basis = SpinBasis::build(sector);
     let dim = basis.dim();
     let x: Vec<f64> = (0..dim)
         .map(|i| (ls_kernels::hash64_01(i as u64) >> 11) as f64 * 1e-16 - 0.4)
@@ -120,60 +122,40 @@ fn run_sector(
     let pool = MatvecScratchPool::new();
     apply_serial_pooled(&op, &basis, &x, &mut y_ref, &pool);
 
-    let mut rankings = vec![RankingKind::PrefixBuckets, RankingKind::BinarySearch];
-    if group_order == 1 {
-        rankings.insert(0, RankingKind::Combinadic);
-    }
-    rankings.push(RankingKind::Trie);
-
-    // Interleaved rounds: one sample of every (ranking, strategy) pair
-    // per round, so slow machine-load drift biases no strategy; the
-    // per-pair median is reported.
-    let mut samples = vec![vec![Vec::with_capacity(reps); STRATEGIES.len()]; rankings.len()];
+    // Interleaved rounds: one sample of every strategy per round, so slow
+    // machine-load drift biases none of them; the per-strategy median is
+    // reported.
+    let mut samples = vec![Vec::with_capacity(reps); STRATEGIES.len()];
     for round in 0..reps.max(1) {
-        for (ri, &ranking) in rankings.iter().enumerate() {
-            basis.set_ranking(ranking);
-            for (si, &strategy) in STRATEGIES.iter().enumerate() {
-                let t = std::time::Instant::now();
-                match strategy {
-                    MatvecStrategy::Serial => {
-                        apply_serial_pooled(&op, &basis, &x, &mut y, &pool)
-                    }
-                    MatvecStrategy::PullParallel => {
-                        apply_pull_pooled(&op, &basis, &x, &mut y, &pool)
-                    }
-                    MatvecStrategy::PushAtomic => {
-                        apply_push_pooled(&op, &basis, &x, &mut y, &pool)
-                    }
-                    MatvecStrategy::BatchedPull => {
-                        apply_batched_pull_pooled(&op, &basis, &x, &mut y, &pool)
-                    }
-                    MatvecStrategy::BatchedPush => {
-                        apply_batched_push_pooled(&op, &basis, &x, &mut y, &pool)
-                    }
+        for (si, &strategy) in STRATEGIES.iter().enumerate() {
+            let t = std::time::Instant::now();
+            match strategy {
+                Strategy::Serial => apply_serial_pooled(&op, &basis, &x, &mut y, &pool),
+                Strategy::PullParallel => apply_pull_pooled(&op, &basis, &x, &mut y, &pool),
+                Strategy::BatchedPull => {
+                    apply_batched_pull_pooled(&op, &basis, &x, &mut y, &pool)
                 }
-                samples[ri][si].push(t.elapsed().as_secs_f64());
-                if round == 0 {
-                    // Every configuration doubles as a correctness check.
-                    for i in 0..dim {
-                        assert!(
-                            (y[i] - y_ref[i]).abs() < 1e-10,
-                            "{strategy:?}/{ranking:?} disagrees with serial at {i}"
-                        );
-                    }
+            }
+            samples[si].push(t.elapsed().as_secs_f64());
+            if round == 0 {
+                // Every measurement doubles as a correctness check.
+                for i in 0..dim {
+                    assert!(
+                        (y[i] - y_ref[i]).abs() < 1e-10,
+                        "{strategy:?} disagrees with serial at {i}"
+                    );
                 }
             }
         }
     }
-    let mut results = Vec::new();
-    for (ri, &ranking) in rankings.iter().enumerate() {
-        for (si, &strategy) in STRATEGIES.iter().enumerate() {
-            let times = &mut samples[ri][si];
+    let results = STRATEGIES
+        .iter()
+        .zip(&mut samples)
+        .map(|(&strategy, times)| {
             times.sort_by(f64::total_cmp);
-            results.push(Measurement { strategy, ranking, seconds: times[times.len() / 2] });
-        }
-    }
-    basis.set_ranking(default_ranking);
+            Measurement { strategy, seconds: times[times.len() / 2] }
+        })
+        .collect();
     let nnz_offdiag = ls_bench::count_offdiag_entries(&op, &basis);
     let bytes_moved = ls_bench::matvec_traffic_bytes(dim, nnz_offdiag);
     SectorReport {
@@ -181,7 +163,7 @@ fn run_sector(
         n_sites,
         dim,
         group_order,
-        default_ranking,
+        ranking: basis.ranking(),
         nnz_offdiag,
         bytes_moved,
         results,
@@ -195,9 +177,8 @@ fn print_report(r: &SectorReport, reps: usize, stream_gbps: f64) {
         .map(|m| {
             vec![
                 format!("{:?}", m.strategy),
-                format!("{:?}", m.ranking),
                 ls_bench::fmt_secs(m.seconds),
-                format!("{:.2}×", r.default_time(MatvecStrategy::Serial) / m.seconds),
+                format!("{:.2}×", r.time(Strategy::Serial) / m.seconds),
                 format!("{:.1}", r.gbps(m.seconds)),
                 format!("{:.0}%", 100.0 * r.gbps(m.seconds) / stream_gbps),
             ]
@@ -205,15 +186,16 @@ fn print_report(r: &SectorReport, reps: usize, stream_gbps: f64) {
         .collect();
     ls_bench::print_table(
         &format!(
-            "{}: {} sites, dim {}, |G| = {}, {:.1} MB moved/matvec (median of {reps}, \
-             ceiling {stream_gbps:.1} GB/s)",
+            "{}: {} sites, dim {}, |G| = {}, {:?} ranking, {:.1} MB moved/matvec \
+             (median of {reps}, ceiling {stream_gbps:.1} GB/s)",
             r.label,
             r.n_sites,
             r.dim,
             r.group_order,
+            r.ranking,
             r.bytes_moved as f64 / 1e6
         ),
-        &["strategy", "ranking", "time", "vs serial", "GB/s", "roofline"],
+        &["strategy", "time", "vs serial", "GB/s", "roofline"],
         &rows,
     );
 }
@@ -245,7 +227,7 @@ fn main() {
         "STREAM triad ceiling: {stream_gbps:.1} GB/s at {threads} threads (SIMD {simd_level})"
     );
 
-    // U(1)-only sector: the trivial-group fast path, all four rankings.
+    // U(1)-only sector: the trivial-group fast path (combinadic ranking).
     let u1 = run_sector(
         "u1",
         SectorSpec::with_weight(sites as u32, weight as u32).unwrap(),
@@ -266,13 +248,9 @@ fn main() {
     );
     print_report(&symmetrized, reps, stream_gbps);
 
-    let speedup_pull = u1.default_time(MatvecStrategy::PullParallel)
-        / u1.default_time(MatvecStrategy::BatchedPull);
-    let speedup_push = u1.default_time(MatvecStrategy::PushAtomic)
-        / u1.default_time(MatvecStrategy::BatchedPush);
-    println!("\nU(1) speedups at the default ranking ({:?}):", u1.default_ranking);
+    let speedup_pull = u1.time(Strategy::PullParallel) / u1.time(Strategy::BatchedPull);
+    println!("\nU(1) speedup at the sector's ranking ({:?}):", u1.ranking);
     println!("  BatchedPull vs PullParallel: {speedup_pull:.2}×");
-    println!("  BatchedPush vs PushAtomic:   {speedup_push:.2}×");
 
     // SIMD vs forced-scalar A/B on the U(1) BatchedPull product (the
     // dispatch is bit-exact, so the outputs agree; only speed differs).
@@ -319,7 +297,6 @@ fn main() {
         "{{\n  \"bench\": \"matvec\",\n  \"threads\": {threads},\n  \"reps\": {reps},\n  \
          \"stream_gbps\": {stream_gbps:.4},\n  \"simd_level\": \"{simd_level}\",\n\
          {},\n{},\n  \"speedup_batched_pull_vs_pull\": {speedup_pull:.4},\n  \
-         \"speedup_batched_push_vs_push\": {speedup_push:.4},\n  \
          \"simd_speedup_batched_pull\": {simd_speedup_pull:.4}\n}}\n",
         u1.to_json(stream_gbps),
         symmetrized.to_json(stream_gbps)

@@ -47,7 +47,7 @@ pub use eigen::{
     eigensolve_env, eigensolve_restarted, ground_state, ground_state_energy,
     lowest_eigenvalues, lowest_eigenvalues_bounded,
 };
-pub use matvec::{MatvecScratchPool, MatvecStrategy};
+pub use matvec::MatvecScratchPool;
 pub use observables::{expectation, structure_factor, sz_correlations};
 pub use operator::Operator;
 
@@ -57,7 +57,6 @@ pub mod prelude {
         eigensolve_env, eigensolve_restarted, ground_state, ground_state_energy,
         lowest_eigenvalues, lowest_eigenvalues_bounded,
     };
-    pub use crate::matvec::MatvecStrategy;
     pub use crate::observables::{expectation, structure_factor, sz_correlations};
     pub use crate::operator::Operator;
     pub use ls_basis::{BasisError, SectorSpec, SpinBasis, SymmetrizedOperator};

@@ -1,7 +1,7 @@
 //! The high-level operator: expression + sector → basis + matrix-free
 //! Hamiltonian with a parallel shared-memory matrix-vector product.
 
-use crate::matvec::{self, MatvecScratchPool, MatvecStrategy};
+use crate::matvec::{self, MatvecScratchPool};
 use ls_basis::{BasisError, SectorSpec, SpinBasis, SymmetrizedOperator};
 use ls_eigen::LinearOp;
 use ls_expr::Expr;
@@ -10,14 +10,15 @@ use std::sync::Arc;
 
 /// A symmetrized Hamiltonian bound to its basis.
 ///
-/// The operator owns a [`MatvecScratchPool`]: repeated [`LinearOp::apply`]
+/// The product path is a function of the operator alone: the batched
+/// pull for a Hermitian operator, the serial push otherwise (see
+/// [`crate::matvec`]). The operator owns a [`MatvecScratchPool`]: repeated [`LinearOp::apply`]
 /// calls (a Lanczos run performs hundreds on the same operator) reuse the
 /// same staging buffers instead of reallocating per product.
 #[derive(Clone)]
 pub struct Operator<S: Scalar> {
     symop: SymmetrizedOperator<S>,
     basis: Arc<SpinBasis>,
-    strategy: MatvecStrategy,
     scratch: Arc<MatvecScratchPool<S>>,
 }
 
@@ -44,12 +45,7 @@ impl<S: Scalar> Operator<S> {
 
     /// Binds an already-compiled kernel to an existing basis.
     pub fn from_parts(symop: SymmetrizedOperator<S>, basis: Arc<SpinBasis>) -> Self {
-        Self {
-            symop,
-            basis,
-            strategy: MatvecStrategy::default(),
-            scratch: Arc::new(MatvecScratchPool::new()),
-        }
+        Self { symop, basis, scratch: Arc::new(MatvecScratchPool::new()) }
     }
 
     pub fn basis(&self) -> &Arc<SpinBasis> {
@@ -58,16 +54,6 @@ impl<S: Scalar> Operator<S> {
 
     pub fn symmetrized(&self) -> &SymmetrizedOperator<S> {
         &self.symop
-    }
-
-    /// Selects the shared-memory matvec implementation (ablation hook).
-    pub fn with_strategy(mut self, strategy: MatvecStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    pub fn strategy(&self) -> MatvecStrategy {
-        self.strategy
     }
 
     /// The number of stored Hamiltonian terms (diagnostics).
@@ -83,43 +69,25 @@ impl<S: Scalar> LinearOp<S> for Operator<S> {
 
     fn apply(&self, x: &[S], y: &mut [S]) {
         let pool = &*self.scratch;
-        match self.strategy {
-            MatvecStrategy::BatchedPull => {
-                matvec::apply_batched_pull_pooled(&self.symop, &self.basis, x, y, pool)
-            }
-            MatvecStrategy::BatchedPush => {
-                matvec::apply_batched_push_pooled(&self.symop, &self.basis, x, y, pool)
-            }
-            MatvecStrategy::PullParallel => {
-                matvec::apply_pull_pooled(&self.symop, &self.basis, x, y, pool)
-            }
-            MatvecStrategy::PushAtomic => {
-                matvec::apply_push_pooled(&self.symop, &self.basis, x, y, pool)
-            }
-            MatvecStrategy::Serial => {
-                matvec::apply_serial_pooled(&self.symop, &self.basis, x, y, pool)
-            }
+        if self.symop.is_hermitian() {
+            matvec::apply_batched_pull_pooled(&self.symop, &self.basis, x, y, pool)
+        } else {
+            matvec::apply_serial_pooled(&self.symop, &self.basis, x, y, pool)
         }
     }
 
-    /// The fused matvec+dot epilogue: for the default batched pull
-    /// strategy the inner product is accumulated chunk-by-chunk while the
-    /// product's output is still cache-resident (one full sweep over the
-    /// Krylov vectors saved per Lanczos iteration). Other strategies fall
-    /// back to the product followed by the deterministic parallel dot.
+    /// The fused matvec+dot epilogue: for a Hermitian operator the inner
+    /// product is accumulated chunk-by-chunk while the batched pull's
+    /// output is still cache-resident (one full sweep over the Krylov
+    /// vectors saved per Lanczos iteration). A non-Hermitian operator
+    /// falls back to the serial product followed by the deterministic
+    /// parallel dot.
     fn apply_dot(&self, x: &[S], y: &mut [S]) -> S {
-        match self.strategy {
-            MatvecStrategy::BatchedPull => matvec::apply_batched_pull_dot_pooled(
-                &self.symop,
-                &self.basis,
-                x,
-                y,
-                &self.scratch,
-            ),
-            _ => {
-                self.apply(x, y);
-                ls_eigen::op::par_dot(x, y)
-            }
+        if self.symop.is_hermitian() {
+            matvec::apply_batched_pull_dot_pooled(&self.symop, &self.basis, x, y, &self.scratch)
+        } else {
+            self.apply(x, y);
+            ls_eigen::op::par_dot(x, y)
         }
     }
 
@@ -146,19 +114,12 @@ mod tests {
         let x = vec![1.0; basis.dim()];
         let mut y = vec![0.0; basis.dim()];
         op.apply(&x, &mut y);
-        // H acting on the uniform vector: row sums; compare strategies.
-        assert_eq!(op.strategy(), MatvecStrategy::BatchedPull);
-        for strategy in [
-            MatvecStrategy::BatchedPush,
-            MatvecStrategy::PullParallel,
-            MatvecStrategy::PushAtomic,
-            MatvecStrategy::Serial,
-        ] {
-            let mut y2 = vec![0.0; basis.dim()];
-            op.clone().with_strategy(strategy).apply(&x, &mut y2);
-            for i in 0..basis.dim() {
-                assert!((y[i] - y2[i]).abs() < 1e-12, "{strategy:?} at {i}");
-            }
+        // H acting on the uniform vector: row sums; compare with the
+        // serial oracle.
+        let mut y2 = vec![0.0; basis.dim()];
+        matvec::apply_serial(op.symmetrized(), &basis, &x, &mut y2);
+        for i in 0..basis.dim() {
+            assert!((y[i] - y2[i]).abs() < 1e-12, "at {i}");
         }
     }
 

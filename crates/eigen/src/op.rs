@@ -34,7 +34,7 @@ pub trait LinearOp<S: Scalar>: Sync {
     /// epilogue of a Lanczos iteration (`α_j = ⟨v_j, H v_j⟩`).
     ///
     /// The default runs `apply` followed by [`par_dot`]; implementations
-    /// with chunked products (e.g. the batched pull strategy) override it
+    /// with chunked products (e.g. the batched pull) override it
     /// to accumulate the inner product while the freshly written output
     /// chunk is still cache-resident, saving one full sweep over the
     /// Krylov vectors per iteration. Overrides must stay deterministic

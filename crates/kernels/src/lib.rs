@@ -3,7 +3,7 @@
 //! Low-level, allocation-free kernels used throughout the
 //! `lattice-symmetries-rs` workspace: bit manipulation, hashing, fixed-weight
 //! bitstring iteration (Gosper), combinadic ranking, Benes permutation
-//! networks, stable counting/radix sorts and accelerated sorted-array
+//! networks, a stable counting sort and accelerated sorted-array
 //! searches.
 //!
 //! In the paper these kernels are the Halide-generated layer; here they are

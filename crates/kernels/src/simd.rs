@@ -164,28 +164,6 @@ pub fn filter_field_sum_scalar(
     }
 }
 
-/// Extracts the `width`-bit field at `shift` from every word —
-/// the batch form of [`crate::bits::extract_field`].
-pub fn extract_field_batch(words: &[u64], shift: u32, width: u32, out: &mut Vec<u64>) {
-    debug_assert!(shift + width <= 64 && width >= 1);
-    out.clear();
-    out.reserve(words.len());
-    #[cfg(target_arch = "x86_64")]
-    if level() == SimdLevel::Avx2 {
-        // SAFETY: dispatched only when AVX2 was detected at startup.
-        unsafe { extract_field_batch_avx2(words, shift, width, out) };
-        return;
-    }
-    extract_field_batch_scalar(words, shift, width, out);
-}
-
-/// Scalar twin of [`extract_field_batch`].
-pub fn extract_field_batch_scalar(words: &[u64], shift: u32, width: u32, out: &mut Vec<u64>) {
-    for &w in words {
-        out.push(crate::bits::extract_field(w, shift, width));
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Bulk ranking: the prefix-bucketed lockstep binary search.
 // ---------------------------------------------------------------------------
@@ -489,28 +467,6 @@ mod avx2 {
     }
 
     /// # Safety
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn extract_field_batch_avx2(
-        words: &[u64],
-        shift: u32,
-        width: u32,
-        out: &mut Vec<u64>,
-    ) {
-        let mask = _mm256_set1_epi64x(crate::bits::low_mask(width) as i64);
-        let shift_v = _mm_cvtsi32_si128(shift as i32);
-        let mut chunks = words.chunks_exact(4);
-        for ch in &mut chunks {
-            let v = _mm256_loadu_si256(ch.as_ptr() as *const __m256i);
-            let f = _mm256_and_si256(_mm256_srl_epi64(v, shift_v), mask);
-            let mut lanes = [0u64; 4];
-            _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, f);
-            out.extend_from_slice(&lanes);
-        }
-        super::extract_field_batch_scalar(chunks.remainder(), shift, width, out);
-    }
-
-    /// # Safety
     /// Requires AVX2; every `mid` probed from the given bounds must index
     /// into `sorted`, and `sorted.len() < i64::MAX`.
     #[target_feature(enable = "avx2")]
@@ -676,23 +632,12 @@ mod avx2 {
 #[cfg(target_arch = "x86_64")]
 use avx2::{
     accumulate_segment_f64_avx2, axpy_f32_avx2, axpy_norm_sqr_f32_avx2, dot_f32_avx2,
-    extract_field_batch_avx2, filter_charge_masks_avx2, filter_field_sum_avx2,
-    prefix_search_block_avx2, scale_f32_avx2,
+    filter_charge_masks_avx2, filter_field_sum_avx2, prefix_search_block_avx2, scale_f32_avx2,
 };
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn words(seed: u64, n: usize) -> Vec<u64> {
-        let mut s = seed;
-        (0..n)
-            .map(|i| {
-                s = crate::hash::hash64_01(s.wrapping_add(i as u64 + 1));
-                s
-            })
-            .collect()
-    }
 
     #[test]
     fn dispatch_level_is_cached_and_valid() {
@@ -738,19 +683,6 @@ mod tests {
             filter_field_sum(0, hi, width, n_fields, sum, &mut fast);
             filter_field_sum_scalar(0, hi, width, n_fields, sum, &mut slow);
             assert_eq!(fast, slow, "width={width} n_fields={n_fields} sum={sum}");
-        }
-    }
-
-    #[test]
-    fn extract_field_matches_scalar() {
-        let ws = words(3, 1027); // not a multiple of 4: remainder lanes
-        for (shift, width) in [(0u32, 1u32), (5, 3), (31, 2), (62, 2), (63, 1), (0, 64)] {
-            let mut fast = Vec::new();
-            let mut slow = Vec::new();
-            extract_field_batch(&ws, shift, width, &mut fast);
-            slow.clear();
-            extract_field_batch_scalar(&ws, shift, width, &mut slow);
-            assert_eq!(fast, slow, "shift={shift} width={width}");
         }
     }
 

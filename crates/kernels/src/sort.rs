@@ -1,12 +1,11 @@
-//! Stable counting/radix sorts used to partition matrix-row output by
-//! destination locale.
+//! Stable counting sort used to partition generated data by destination
+//! locale.
 //!
-//! The batched matrix-vector product (paper Sec. 5.3, "Computing multiple
-//! rows at once") generates `(basis state, coefficient)` pairs whose
-//! destination locales are scattered; before issuing remote puts, the pairs
-//! are grouped per destination with a stable, linear-time counting sort.
-//! Stability matters: it preserves the generation order within each
-//! destination, which downstream code relies on for reproducibility.
+//! The distributed block↔hashed conversion groups each chunk's elements
+//! per destination locale with a stable, linear-time counting sort before
+//! issuing remote puts. Stability matters: it preserves the source order
+//! within each destination, which downstream code relies on for
+//! reproducibility.
 
 /// Computes the stable counting-sort permutation of `keys` into
 /// `num_buckets` buckets.
@@ -57,103 +56,6 @@ pub fn apply_perm<T: Copy + Default>(perm: &[u32], src: &[T], dst: &mut Vec<T>) 
     }
 }
 
-/// Convenience: stable-partition `(keys, a, b)` triples by key, in one call.
-/// Returns bucket offsets. Scratch vectors are provided by the caller so
-/// repeated calls do not allocate.
-pub struct PartitionScratch {
-    perm: Vec<u32>,
-    pub offsets: Vec<u32>,
-}
-
-impl PartitionScratch {
-    pub fn new() -> Self {
-        Self { perm: Vec::new(), offsets: Vec::new() }
-    }
-
-    /// Partitions `states` and `coeffs` (parallel arrays) by `keys` into
-    /// `num_buckets` buckets, writing grouped output into `states_out` /
-    /// `coeffs_out`. Returns the bucket-offsets slice.
-    pub fn partition<S: Copy + Default>(
-        &mut self,
-        keys: &[u16],
-        num_buckets: usize,
-        states: &[u64],
-        coeffs: &[S],
-        states_out: &mut Vec<u64>,
-        coeffs_out: &mut Vec<S>,
-    ) -> &[u32] {
-        debug_assert_eq!(keys.len(), states.len());
-        debug_assert_eq!(keys.len(), coeffs.len());
-        counting_sort_perm(keys, num_buckets, &mut self.perm, &mut self.offsets);
-        apply_perm(&self.perm, states, states_out);
-        apply_perm(&self.perm, coeffs, coeffs_out);
-        &self.offsets
-    }
-}
-
-impl Default for PartitionScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Radix partitioner for matvec emissions: groups generated
-/// `(dest_index, amplitude, src_index)` triples by *destination block*
-/// (`dest_index >> block_bits`), so each block of the output vector can be
-/// accumulated by exactly one thread in a sequential sweep — no atomics.
-///
-/// The partition is stable (counting sort), which preserves the
-/// generation order inside every block; the batched push matvec relies on
-/// that for bit-reproducible accumulation. All buffers are caller-owned
-/// and reused across calls.
-#[derive(Clone, Debug, Default)]
-pub struct BlockPartitioner {
-    keys: Vec<u16>,
-    perm: Vec<u32>,
-    offsets: Vec<u32>,
-}
-
-impl BlockPartitioner {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Partitions the parallel arrays `(dest, amp, src)` into
-    /// `num_blocks` destination blocks of `1 << block_bits` indices each,
-    /// writing grouped copies into the `*_out` vectors. Returns the block
-    /// offsets: block `b` occupies output range `offsets[b] ..
-    /// offsets[b + 1]`.
-    #[allow(clippy::too_many_arguments)] // three parallel in/out array pairs
-    pub fn partition<S: Copy + Default>(
-        &mut self,
-        block_bits: u32,
-        num_blocks: usize,
-        dest: &[u32],
-        amp: &[S],
-        src: &[u32],
-        dest_out: &mut Vec<u32>,
-        amp_out: &mut Vec<S>,
-        src_out: &mut Vec<u32>,
-    ) -> &[u32] {
-        debug_assert_eq!(dest.len(), amp.len());
-        debug_assert_eq!(dest.len(), src.len());
-        assert!(num_blocks <= u16::MAX as usize + 1, "too many destination blocks");
-        self.keys.clear();
-        self.keys.extend(dest.iter().map(|&d| {
-            debug_assert!(
-                ((d >> block_bits) as usize) < num_blocks,
-                "destination index {d} exceeds the block range"
-            );
-            (d >> block_bits) as u16
-        }));
-        counting_sort_perm(&self.keys, num_blocks, &mut self.perm, &mut self.offsets);
-        apply_perm(&self.perm, dest, dest_out);
-        apply_perm(&self.perm, amp, amp_out);
-        apply_perm(&self.perm, src, src_out);
-        &self.offsets
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,10 +74,11 @@ mod tests {
         let keys: Vec<u16> = vec![2, 0, 1, 2, 0, 1, 1, 2];
         let states: Vec<u64> = (100..108).collect();
         let coeffs: Vec<f64> = (0..8).map(|i| i as f64 * 0.5).collect();
-        let mut scratch = PartitionScratch::new();
-        let mut s_out = Vec::new();
-        let mut c_out = Vec::new();
-        let offsets = scratch.partition(&keys, 3, &states, &coeffs, &mut s_out, &mut c_out);
+        let (mut perm, mut offsets) = (Vec::new(), Vec::new());
+        counting_sort_perm(&keys, 3, &mut perm, &mut offsets);
+        let (mut s_out, mut c_out) = (Vec::new(), Vec::new());
+        apply_perm(&perm, &states, &mut s_out);
+        apply_perm(&perm, &coeffs, &mut c_out);
         assert_eq!(offsets, &[0, 2, 5, 8]);
         // Bucket 0 keeps original order (stability):
         assert_eq!(&s_out[0..2], &[101, 104]);
@@ -184,30 +87,6 @@ mod tests {
         // Coefficients travel with their states:
         assert_eq!(c_out[0], 0.5);
         assert_eq!(c_out[5], 0.0);
-    }
-
-    #[test]
-    fn block_partitioner_groups_and_is_stable() {
-        // Destination indices over 4 blocks of 8 (block_bits = 3).
-        let dest: Vec<u32> = vec![25, 3, 9, 26, 1, 14, 8, 31, 0];
-        let amp: Vec<f64> = (0..dest.len()).map(|i| i as f64 + 0.25).collect();
-        let src: Vec<u32> = (100..100 + dest.len() as u32).collect();
-        let mut p = BlockPartitioner::new();
-        let (mut d, mut a, mut s) = (Vec::new(), Vec::new(), Vec::new());
-        let offsets = p.partition(3, 4, &dest, &amp, &src, &mut d, &mut a, &mut s).to_vec();
-        assert_eq!(offsets, vec![0, 3, 6, 6, 9]);
-        // Block 0 (< 8) keeps generation order; payloads travel along.
-        assert_eq!(&d[0..3], &[3, 1, 0]);
-        assert_eq!(&s[0..3], &[101, 104, 108]);
-        assert_eq!(a[0], 1.25);
-        // Block 1 (8..16):
-        assert_eq!(&d[3..6], &[9, 14, 8]);
-        // Block 3 (24..32):
-        assert_eq!(&d[6..9], &[25, 26, 31]);
-        // Reuse with an empty input.
-        let offsets = p.partition(3, 4, &[], &[] as &[f64], &[], &mut d, &mut a, &mut s);
-        assert_eq!(offsets, &[0, 0, 0, 0, 0]);
-        assert!(d.is_empty() && a.is_empty() && s.is_empty());
     }
 
     #[test]

@@ -207,20 +207,6 @@ proptest! {
     }
 
     #[test]
-    fn simd_extract_field_matches_scalar(
-        words in proptest::collection::vec(any::<u64>(), 0..600),
-        shift in 0u32..=63,
-        width_seed in 1u32..=64,
-    ) {
-        let width = width_seed.min(64 - shift);
-        let mut fast = Vec::new();
-        let mut slow = Vec::new();
-        simd::extract_field_batch(&words, shift, width, &mut fast);
-        simd::extract_field_batch_scalar(&words, shift, width, &mut slow);
-        prop_assert_eq!(fast, slow);
-    }
-
-    #[test]
     fn simd_prefix_search_block_ranks_bit_identically(
         mut states in proptest::collection::vec(any::<u64>(), 8..500),
         needles_seed in proptest::collection::vec(any::<u64>(), 8),

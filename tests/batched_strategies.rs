@@ -1,18 +1,15 @@
 //! Property tests pinning the batched matvec engine to its scalar
-//! references, bit for bit.
+//! references.
 //!
-//! The batched strategies are engineered to perform the identical
-//! floating-point operations in the identical order as their references:
-//! `BatchedPush` replays the `Serial` (push-order) accumulation through
-//! destination-partitioned merges, and `BatchedPull` replays the scalar
-//! pull accumulation (per output element: diagonal, then channels in
-//! ascending order). These tests therefore assert *equality*, not
-//! tolerance — any reordering regression fails immediately.
+//! `BatchedPull` is engineered to perform the identical floating-point
+//! operations in the identical order as the scalar pull (per output
+//! element: diagonal, then channels in ascending order), so it is checked
+//! for *equality* against `apply_pull` — any reordering regression fails
+//! immediately — and for agreement to rounding against the push-order
+//! `Serial` oracle.
 
 use exact_diag::basis::{SectorSpec, SpinBasis, SymmetrizedOperator};
-use exact_diag::core::matvec::{
-    apply_batched_pull, apply_batched_push, apply_pull, apply_serial,
-};
+use exact_diag::core::matvec::{apply_batched_pull, apply_pull, apply_serial};
 use exact_diag::prelude::*;
 use proptest::prelude::*;
 
@@ -29,8 +26,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// Random XXZ couplings, random sectors with and without symmetries:
-    /// the batched strategies are bit-exact twins of their references and
-    /// agree with `Serial` to rounding.
+    /// the batched pull is the bit-exact twin of the scalar pull and
+    /// agrees with `Serial` to rounding.
     #[test]
     fn batched_strategies_bitexact(
         jxy in 0.1f64..3.0,
@@ -74,15 +71,12 @@ proptest! {
         let mut y_serial = vec![0.0; basis.dim()];
         let mut y_pull = vec![0.0; basis.dim()];
         let mut y_bpull = vec![0.0; basis.dim()];
-        let mut y_bpush = vec![0.0; basis.dim()];
         apply_serial(&op, &basis, &x, &mut y_serial);
         apply_pull(&op, &basis, &x, &mut y_pull);
         apply_batched_pull(&op, &basis, &x, &mut y_bpull);
-        apply_batched_push(&op, &basis, &x, &mut y_bpush);
 
         for i in 0..basis.dim() {
             // Bit-exact twins.
-            prop_assert_eq!(y_bpush[i], y_serial[i], "batched push vs serial at {}", i);
             prop_assert_eq!(y_bpull[i], y_pull[i], "batched pull vs pull at {}", i);
             // Cross-formulation agreement to rounding.
             prop_assert!(
@@ -96,10 +90,7 @@ proptest! {
     /// stay bit-identical to the first — buffer reuse must not leak state
     /// between products.
     #[test]
-    fn pooled_reapply_is_reproducible(
-        seed in any::<u64>(),
-        strategy_choice in 0usize..2,
-    ) {
+    fn pooled_reapply_is_reproducible(seed in any::<u64>()) {
         let n = 10usize;
         let sector = SectorSpec::new(
             n as u32,
@@ -109,12 +100,6 @@ proptest! {
         .unwrap();
         let expr = heisenberg(&chain_bonds(n), 1.0);
         let (basis, op) = Operator::<f64>::from_expr(&expr, sector).unwrap();
-        let strategy = if strategy_choice == 0 {
-            MatvecStrategy::BatchedPull
-        } else {
-            MatvecStrategy::BatchedPush
-        };
-        let op = op.with_strategy(strategy);
         let x = random_vec(basis.dim(), seed);
         let mut first = vec![0.0; basis.dim()];
         op.apply(&x, &mut first);
@@ -124,4 +109,30 @@ proptest! {
             prop_assert_eq!(&first, &again);
         }
     }
+}
+
+/// A non-Hermitian operator has no gather formulation; `Operator` must
+/// route it to the serial push oracle on its own and reproduce that
+/// oracle bit for bit (the batched pull would reject it).
+#[test]
+fn non_hermitian_operator_applies_through_serial() {
+    let n = 10usize;
+    let expr = parse_expr("S+_0 * S-_1 + 0.5 * Sz_2").unwrap();
+    let sector = SectorSpec::with_weight(n as u32, n as u32 / 2).unwrap();
+    let (basis, op) = Operator::<f64>::from_expr(&expr, sector).unwrap();
+    assert!(!op.is_hermitian());
+    let x = random_vec(basis.dim(), 5);
+    let mut y = vec![0.0; basis.dim()];
+    op.apply(&x, &mut y);
+    let mut y_ref = vec![0.0; basis.dim()];
+    apply_serial(op.symmetrized(), &basis, &x, &mut y_ref);
+    for i in 0..basis.dim() {
+        assert_eq!(y[i].to_bits(), y_ref[i].to_bits(), "apply vs serial at {i}");
+    }
+    // The fused product+dot takes the same route.
+    let mut y_dot = vec![0.0; basis.dim()];
+    let d = op.apply_dot(&x, &mut y_dot);
+    assert_eq!(y_dot, y_ref);
+    let expect: f64 = x.iter().zip(&y_ref).map(|(a, b)| a * b).sum();
+    assert!((d - expect).abs() <= 1e-12 * expect.abs().max(1.0), "{d} vs {expect}");
 }
