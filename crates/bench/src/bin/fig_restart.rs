@@ -3,13 +3,14 @@
 //!
 //! Two configurations on the same U(1) sector:
 //!
-//! * **full** — the unrestarted solver (every Krylov vector retained):
-//!   fastest in matvec count, but its memory high-water mark grows with
-//!   the iteration count — `(m + 1) · dim` scalars.
-//! * **thick** — thick-restart Lanczos
-//!   (`ls_eigen::thick_restart_lanczos`) under a `k + extra` vector
-//!   budget: more matvecs (each restart discards subspace information),
-//!   bounded memory — the trade the paper's large sectors force.
+//! * **full** — `ls_eigen::thick_restart_lanczos` with `extra = dim`, a
+//!   budget covering the whole space: one unrestarted chain (every
+//!   Krylov vector retained), fastest in matvec count, but its memory
+//!   high-water mark grows with the iteration count — `(m + 1) · dim`
+//!   scalars.
+//! * **thick** — the same driver under a `k + extra` vector budget: more
+//!   matvecs (each restart discards subspace information), bounded
+//!   memory — the trade the paper's large sectors force.
 //!
 //! The binary asserts both reach the same eigenvalues (cross-solver
 //! oracle, same as `tests/restart_oracle.rs`) and that the thick run's
@@ -24,7 +25,7 @@
 
 use ls_basis::SectorSpec;
 use ls_core::Operator;
-use ls_eigen::{thick_restart_lanczos, LanczosOptions, RestartOptions};
+use ls_eigen::{thick_restart_lanczos, RestartOptions};
 use ls_expr::builders::heisenberg;
 use ls_symmetry::lattice::chain_bonds;
 use std::time::Instant;
@@ -104,15 +105,9 @@ fn main() {
     };
 
     let (full_secs, (full_matvecs, full_peak, full_evs)) = measure(&|| {
-        let res = ls_eigen::lanczos_smallest(
+        let res = thick_restart_lanczos(
             &op,
-            k,
-            &LanczosOptions {
-                max_iter: dim.min(1000),
-                tol,
-                max_retained: usize::MAX, // pin the unrestarted path
-                ..Default::default()
-            },
+            &RestartOptions { extra: dim, tol, ..RestartOptions::new(k) },
         );
         assert!(res.converged, "full Lanczos did not converge");
         (res.iterations, res.peak_retained, res.eigenvalues)

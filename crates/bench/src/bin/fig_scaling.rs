@@ -33,7 +33,7 @@
 use ls_basis::{SectorSpec, SpinBasis, SymmetrizedOperator};
 use ls_core::Operator;
 use ls_eigen::op::{axpy, dot, norm, scale};
-use ls_eigen::{lanczos_smallest, LanczosOptions, LinearOp};
+use ls_eigen::{spectral_coefficients_in, LinearOp};
 use rayon::ExecutionMode;
 use std::sync::Arc;
 
@@ -204,18 +204,15 @@ fn main() {
                     );
                 }
             }
-            // Full Lanczos iterations: the pool cell runs the fused
+            // Full Lanczos iterations: the pool cell runs exactly `iters`
+            // steps of the shared Krylov factorization on the fused
             // parallel pipeline, the spawn cell replays the seed's
             // iteration shape on the spawn-per-call backend.
             let sample = match mode {
                 ExecutionMode::Pool => {
                     let t = std::time::Instant::now();
-                    let res = lanczos_smallest(
-                        &op,
-                        1,
-                        &LanczosOptions { max_iter: iters, tol: 1e-300, ..Default::default() },
-                    );
-                    t.elapsed().as_secs_f64() / res.iterations.max(1) as f64
+                    let coeffs = spectral_coefficients_in(&op, &x, iters);
+                    t.elapsed().as_secs_f64() / coeffs.alphas.len().max(1) as f64
                 }
                 ExecutionMode::SpawnPerCall => {
                     let t = std::time::Instant::now();

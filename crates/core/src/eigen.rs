@@ -1,61 +1,41 @@
 //! Convenience eigensolver entry points.
 
 use crate::operator::Operator;
-use ls_eigen::{
-    lanczos_smallest, thick_restart_lanczos, LanczosOptions, LanczosResult, RestartOptions,
-};
+use ls_eigen::{thick_restart_lanczos, LanczosResult, RestartOptions};
 use ls_kernels::Scalar;
+
+/// The wrappers' solver configuration: a 128-vector budget (one
+/// whole-space chain for smaller sectors, thick restart above), tol
+/// 1e-10, seed 0x5eed.
+fn wrapper_solve<S: Scalar>(
+    op: &Operator<S>,
+    k: usize,
+    want_vectors: bool,
+) -> LanczosResult<S> {
+    let extra = 128usize.saturating_sub(k).max(k + 3);
+    thick_restart_lanczos(op, &RestartOptions { extra, want_vectors, ..RestartOptions::new(k) })
+}
 
 /// Ground-state energy of the operator's sector.
 pub fn ground_state_energy<S: Scalar>(op: &Operator<S>) -> f64 {
-    let res = lanczos_smallest(op, 1, &LanczosOptions::default());
-    res.eigenvalues[0]
+    wrapper_solve(op, 1, false).eigenvalues[0]
 }
 
 /// Ground-state energy and normalized wavefunction.
 pub fn ground_state<S: Scalar>(op: &Operator<S>) -> (f64, Vec<S>) {
-    let res =
-        lanczos_smallest(op, 1, &LanczosOptions { want_vectors: true, ..Default::default() });
+    let res = wrapper_solve(op, 1, true);
     (res.eigenvalues[0], res.eigenvectors.unwrap().remove(0))
 }
 
 /// The `k` lowest eigenvalues of the sector.
 pub fn lowest_eigenvalues<S: Scalar>(op: &Operator<S>, k: usize) -> Vec<f64> {
-    let res = lanczos_smallest(op, k, &LanczosOptions::default());
-    res.eigenvalues
+    wrapper_solve(op, k, false).eigenvalues
 }
 
 /// The `k` lowest eigenpairs (values + Ritz vectors) of the sector.
 pub fn lowest_eigenpairs<S: Scalar>(op: &Operator<S>, k: usize) -> (Vec<f64>, Vec<Vec<S>>) {
-    let res =
-        lanczos_smallest(op, k, &LanczosOptions { want_vectors: true, ..Default::default() });
+    let res = wrapper_solve(op, k, true);
     (res.eigenvalues, res.eigenvectors.unwrap())
-}
-
-/// The `k` lowest eigenvalues under an explicit memory budget: the solver
-/// holds at most `budget` Krylov-state vectors (thick-restart Lanczos;
-/// see [`ls_eigen::restart`]). `budget` must be at least `2k + 3`.
-pub fn lowest_eigenvalues_bounded<S: Scalar>(
-    op: &Operator<S>,
-    k: usize,
-    budget: usize,
-) -> Vec<f64> {
-    assert!(budget >= 2 * k + 3, "budget {budget} too small for k = {k} (need 2k + 3)");
-    let res = thick_restart_lanczos(
-        op,
-        &RestartOptions { extra: budget - k, ..RestartOptions::new(k) },
-    );
-    res.eigenvalues
-}
-
-/// Full-control memory-bounded solve (checkpointing, custom tolerance,
-/// Ritz vectors) — the facade over
-/// [`ls_eigen::thick_restart_lanczos`] for [`Operator`]s.
-pub fn eigensolve_restarted<S: Scalar>(
-    op: &Operator<S>,
-    opts: &RestartOptions,
-) -> LanczosResult<S> {
-    thick_restart_lanczos(op, opts)
 }
 
 /// Precision-routed memory-bounded solve for real sectors: honors
@@ -64,7 +44,7 @@ pub fn eigensolve_restarted<S: Scalar>(
 /// refinement; see [`ls_eigen::precision`]). Eigenvectors come back
 /// widened to f64 in every mode. Complex sectors have no reduced-width
 /// path (Jordan–Wigner phases and momentum characters keep full width);
-/// they use [`eigensolve_restarted`] directly.
+/// they use [`ls_eigen::thick_restart_lanczos`] directly.
 pub fn eigensolve_env(op: &Operator<f64>, opts: &RestartOptions) -> LanczosResult<f64> {
     ls_eigen::eigensolve_precision(op, opts, ls_eigen::Precision::from_env())
 }

@@ -43,10 +43,7 @@ pub mod matvec;
 pub mod observables;
 pub mod operator;
 
-pub use eigen::{
-    eigensolve_env, eigensolve_restarted, ground_state, ground_state_energy,
-    lowest_eigenvalues, lowest_eigenvalues_bounded,
-};
+pub use eigen::{eigensolve_env, ground_state, ground_state_energy, lowest_eigenvalues};
 pub use matvec::MatvecScratchPool;
 pub use observables::{expectation, structure_factor, sz_correlations};
 pub use operator::Operator;
@@ -54,15 +51,14 @@ pub use operator::Operator;
 /// One-stop imports for typical use.
 pub mod prelude {
     pub use crate::eigen::{
-        eigensolve_env, eigensolve_restarted, ground_state, ground_state_energy,
-        lowest_eigenvalues, lowest_eigenvalues_bounded,
+        eigensolve_env, ground_state, ground_state_energy, lowest_eigenvalues,
     };
     pub use crate::observables::{expectation, structure_factor, sz_correlations};
     pub use crate::operator::Operator;
     pub use ls_basis::{BasisError, SectorSpec, SpinBasis, SymmetrizedOperator};
     pub use ls_eigen::{
-        evolve_imaginary_time, evolve_real_time, lanczos_smallest, spectral_coefficients,
-        thick_restart_lanczos, CheckpointPolicy, LanczosOptions, LinearOp, RestartOptions,
+        evolve_imaginary_time, evolve_real_time, spectral_coefficients, thick_restart_lanczos,
+        CheckpointPolicy, LinearOp, RestartOptions,
     };
     pub use ls_expr::builders::{
         fermion_hop, heisenberg, heisenberg_bond, hubbard_1d, transverse_field, xxz,

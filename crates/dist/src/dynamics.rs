@@ -12,7 +12,7 @@
 //!
 //! One producer/consumer engine (and its staging buffers) is reused
 //! across all `m` products of a call, mirroring
-//! [`crate::eigensolve::dist_lanczos_smallest`].
+//! [`crate::eigensolve::dist_thick_restart_lanczos`].
 //!
 //! **Memory note:** the propagators retain their full `m`-vector Krylov
 //! basis (each vector in the hashed distribution), so pick `m` within

@@ -1,18 +1,19 @@
-//! Distributed Lanczos, running **in place on distributed vectors**.
+//! Distributed eigensolving, running **in place on distributed vectors**.
 //!
 //! The Krylov recurrence itself is tiny; everything expensive is the
 //! matrix-vector product. [`DistOp`] exposes the producer/consumer
 //! product as an [`ls_eigen::KrylovOp`] over [`DistVec`], so the generic
-//! solver ([`ls_eigen::lanczos_smallest_in`]) runs the whole recurrence
-//! on the locale parts: Krylov vectors are allocated once per solve in
-//! the hashed distribution and never gathered, reorthogonalization runs
-//! on the per-part fused BLAS-1 kernels (locale-ordered reductions — the
-//! `allreduce` of a real cluster), and `α_j` falls out of the product
-//! via the engine's fused [`PcEngine::apply_dot`]. Only matrix elements
-//! ever cross locale boundaries — the paper's central claim. (Earlier
-//! revisions gathered every Krylov vector into one node-local buffer and
-//! re-scattered it around each product, capping the solver at
-//! single-node memory and adding O(dim) copies per iteration.)
+//! solver ([`ls_eigen::thick_restart_lanczos_in`], behind
+//! [`dist_thick_restart_lanczos`]) runs the whole recurrence on the
+//! locale parts: Krylov vectors are allocated in the hashed distribution
+//! and never gathered, reorthogonalization runs on the per-part fused
+//! BLAS-1 kernels (locale-ordered reductions — the `allreduce` of a real
+//! cluster), and `α_j` falls out of the product via the engine's fused
+//! [`PcEngine::apply_dot`]. Only matrix elements ever cross locale
+//! boundaries — the paper's central claim. (Earlier revisions gathered
+//! every Krylov vector into one node-local buffer and re-scattered it
+//! around each product, capping the solver at single-node memory and
+//! adding O(dim) copies per iteration.)
 //!
 //! One [`PcEngine`] is reused across all iterations, so the staging
 //! buffers are allocated exactly once per solve — the buffer-reuse
@@ -24,30 +25,13 @@ use crate::basis::DistSpinBasis;
 use crate::matvec::pc::PcEngine;
 use crate::matvec::PcOptions;
 use ls_basis::SymmetrizedOperator;
-use ls_eigen::{
-    lanczos_smallest_in, thick_restart_lanczos_in, KrylovOp, LanczosOptions, LanczosResultIn,
-    RestartOptions,
-};
+use ls_eigen::{thick_restart_lanczos_in, KrylovOp, LanczosResultIn, RestartOptions};
 use ls_kernels::Scalar;
 use ls_runtime::{transport, Cluster, DistVec};
 use std::sync::RwLock;
 
-/// Options for [`dist_lanczos_smallest`].
-#[derive(Clone, Debug, Default)]
-pub struct DistLanczosOptions {
-    /// The inner Krylov iteration (tolerance, max iterations, seed,
-    /// retained-basis budget, checkpoint policy, ...). When `max_iter`
-    /// exceeds `max_retained` the distributed solve routes through
-    /// thick-restart Lanczos exactly like the shared-memory one —
-    /// distributed Krylov vectors included.
-    pub lanczos: LanczosOptions,
-    /// Producer/consumer pipeline tuning for every matrix-vector product.
-    pub pc: PcOptions,
-}
-
-/// Options for [`dist_thick_restart_lanczos`] — direct control over the
-/// memory-bounded solver (budget split, checkpoint/restart) on a
-/// distributed sector.
+/// Options for [`dist_thick_restart_lanczos`] — the eigensolver's
+/// parameters (budget, checkpoint/restart) on a distributed sector.
 #[derive(Clone, Debug, Default)]
 pub struct DistRestartOptions {
     /// Thick-restart parameters (`k`, `extra`, checkpoint policy, ...).
@@ -150,27 +134,12 @@ impl<S: Scalar> KrylovOp<DistVec<S>> for DistOp<'_, S> {
     }
 }
 
-/// Computes the `k` smallest eigenpairs of `op` over the distributed
-/// basis, running every matrix-vector product through the
-/// producer/consumer pipeline on `cluster` and the whole Krylov
-/// recurrence in place on distributed vectors. No full-vector
-/// gather/scatter happens anywhere — requested eigenvectors are returned
-/// distributed.
-pub fn dist_lanczos_smallest<S: Scalar>(
-    cluster: &Cluster,
-    op: &SymmetrizedOperator<S>,
-    basis: &DistSpinBasis,
-    k: usize,
-    opts: &DistLanczosOptions,
-) -> DistLanczosResult<S> {
-    let dist_op = DistOp::new(cluster, op, basis, opts.pc);
-    lanczos_smallest_in(&dist_op, k, &opts.lanczos)
-}
-
-/// Memory-bounded distributed eigensolve: thick-restart Lanczos over the
-/// producer/consumer product, holding at most `k + extra` distributed
-/// Krylov vectors (each in the hashed distribution — per-locale memory
-/// is `(k + extra) · dim / locales` scalars). With a
+/// Computes the `opts.restart.k` smallest eigenpairs of `op` over the
+/// distributed basis: thick-restart Lanczos over the producer/consumer
+/// product, holding at most `k + extra` distributed Krylov vectors (each
+/// in the hashed distribution — per-locale memory is
+/// `(k + extra) · dim / locales` scalars). No full-vector gather/scatter
+/// happens anywhere — requested eigenvectors are returned distributed. With a
 /// [`ls_eigen::CheckpointPolicy`] in `opts.restart.checkpoint`, the
 /// compressed state is written at restart boundaries in canonical global
 /// element order, and a killed solve resumes **bit-identically** on the
@@ -206,7 +175,11 @@ mod tests {
         for locales in [1usize, 3] {
             let cluster = Cluster::new(ClusterSpec::new(locales, 1));
             let basis = enumerate_dist(&cluster, &sector, 2);
-            let res = dist_lanczos_smallest(&cluster, &op, &basis, 1, &Default::default());
+            let opts = DistRestartOptions {
+                restart: RestartOptions { extra: 127, ..RestartOptions::new(1) },
+                ..Default::default()
+            };
+            let res = dist_thick_restart_lanczos(&cluster, &op, &basis, &opts);
             assert!(res.converged);
             energies.push(res.eigenvalues[0]);
         }

@@ -47,7 +47,6 @@ pub use dynamics::{
     dist_evolve_imaginary_time, dist_evolve_real_time, dist_spectral_coefficients,
 };
 pub use eigensolve::{
-    dist_lanczos_smallest, dist_thick_restart_lanczos, DistLanczosOptions, DistLanczosResult,
-    DistOp, DistRestartOptions,
+    dist_thick_restart_lanczos, DistLanczosResult, DistOp, DistRestartOptions,
 };
 pub use matvec::{matvec_batched, matvec_naive, matvec_pc, PcOptions};

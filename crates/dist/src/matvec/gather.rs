@@ -233,13 +233,14 @@ mod tests {
         assert!(gop.gathered_bytes() > 0);
         // And the solver runs through it: same ground state as the
         // producer/consumer path.
-        let res = ls_eigen::lanczos_smallest_in(&gop, 1, &Default::default());
-        let pc_res = crate::eigensolve::dist_lanczos_smallest(
+        let restart =
+            ls_eigen::RestartOptions { extra: 127, ..ls_eigen::RestartOptions::new(1) };
+        let res = ls_eigen::thick_restart_lanczos_in(&gop, &restart);
+        let pc_res = crate::eigensolve::dist_thick_restart_lanczos(
             &cluster,
             &op,
             &basis,
-            1,
-            &Default::default(),
+            &crate::eigensolve::DistRestartOptions { restart, ..Default::default() },
         );
         assert!(res.converged);
         assert!((res.eigenvalues[0] - pc_res.eigenvalues[0]).abs() < 1e-8);

@@ -536,7 +536,7 @@ impl<S: Scalar> PcEngine<S> {
 }
 
 /// One-shot producer/consumer product: builds a throwaway [`PcEngine`].
-/// Reuse an engine (or [`crate::eigensolve::dist_lanczos_smallest`], which
+/// Reuse an engine (or [`crate::eigensolve::dist_thick_restart_lanczos`], which
 /// does) when running many products.
 pub fn matvec_pc<S: Scalar>(
     cluster: &Cluster,

@@ -1,73 +1,26 @@
-//! Lanczos with full reorthogonalization, on the parallel fused BLAS-1
-//! pipeline — generic over the Krylov vector storage.
+//! The Lanczos building blocks shared by the eigensolver
+//! ([`crate::restart`]), the propagators ([`crate::expm`]) and the
+//! spectral continued fraction ([`crate::spectral`]) — generic over the
+//! Krylov vector storage.
 //!
 //! Plain three-term Lanczos loses orthogonality in floating point (ghost
-//! eigenvalues); since our Krylov dimensions are modest (≲ a few hundred)
-//! we keep all basis vectors and reorthogonalize every new vector twice
-//! ("twice is enough", Kahan–Parlett). Memory is `m · dim` scalars, which
-//! is the same trade the real `lattice-symmetries` makes for robustness.
-//!
-//! The recurrence is written once, against [`KrylovVec`] /
-//! [`KrylovOp`] ([`lanczos_smallest_in`]): between the matrix-vector
-//! products every vector operation is a fused deterministic primitive —
-//! reorthogonalization is *blocked* CGS2 (`multi_dot` / `multi_axpy`
-//! sweep `w` once per pass for the whole basis, not once per basis
-//! vector), and two fused epilogues trim further sweeps —
-//! [`KrylovOp::apply_dot`] (matvec+dot, `α_j` falls out of the product)
-//! and [`KrylovVec::multi_axpy_norm_sqr`] (the final update + the β
-//! norm). On `Vec<S>` these lower to the kernels of [`crate::op`]
-//! (bit-identical for any `LS_NUM_THREADS`); on `DistVec<S>` they run in
-//! place on the locale parts, so the Krylov state never leaves its locale
-//! ([`lanczos_smallest`] is the slice-based wrapper). The Ritz vectors
-//! are assembled in the same storage — a distributed solve returns
-//! distributed eigenvectors.
+//! eigenvalues), so every new vector is reorthogonalized twice against
+//! the whole retained basis ("twice is enough", Kahan–Parlett). Between
+//! the matrix-vector products every vector operation is a fused
+//! deterministic primitive of [`KrylovVec`] / [`KrylovOp`]: the
+//! reorthogonalization is *blocked* CGS2 (`cgs2_beta`: `multi_dot` /
+//! `multi_axpy` sweep `w` once per pass for the whole basis, not once per
+//! basis vector), [`KrylovOp::apply_dot`] lets `α_j` fall out of the
+//! product, and [`KrylovVec::multi_axpy_norm_sqr`] fuses the final update
+//! with the β norm. On `Vec<S>` these lower to the kernels of
+//! [`crate::op`] (bit-identical for any `LS_NUM_THREADS`); on `DistVec<S>`
+//! they run in place on the locale parts, so the Krylov state never
+//! leaves its locale.
 
-use crate::restart::{thick_restart_lanczos_in, CheckpointPolicy, RestartOptions};
-use crate::tridiag::tridiag_eigh;
 use crate::vector::{KrylovOp, KrylovVec};
-use crate::LinearOp;
 use ls_kernels::Scalar;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// Options for [`lanczos_smallest`].
-#[derive(Clone, Debug)]
-pub struct LanczosOptions {
-    /// Maximum Krylov dimension.
-    pub max_iter: usize,
-    /// Convergence threshold on the Ritz residual estimate
-    /// `|β_m · y_m[k]|` relative to the spectral scale.
-    pub tol: f64,
-    /// Seed for the random start vector (deterministic by default).
-    pub seed: u64,
-    /// Compute Ritz vectors?
-    pub want_vectors: bool,
-    /// Memory budget: the maximum number of Krylov-state vectors (basis
-    /// plus workspace) the solver may hold. When the Krylov dimension
-    /// implied by `max_iter` would exceed it, the solve transparently
-    /// routes through thick-restart Lanczos
-    /// ([`crate::restart::thick_restart_lanczos_in`]) so the retained
-    /// set stays bounded; small problems keep the unrestarted path
-    /// (identical results to previous releases).
-    pub max_retained: usize,
-    /// Checkpoint/restart policy, honored on the thick-restart path
-    /// (the unrestarted path converges in one bounded pass and is not
-    /// checkpointed).
-    pub checkpoint: Option<CheckpointPolicy>,
-}
-
-impl Default for LanczosOptions {
-    fn default() -> Self {
-        Self {
-            max_iter: 300,
-            tol: 1e-10,
-            seed: 0x5eed,
-            want_vectors: false,
-            max_retained: 128,
-            checkpoint: None,
-        }
-    }
-}
+use rand::Rng;
 
 /// Result of a Lanczos run over vector storage `V` (eigenvectors come
 /// back in the same storage the solver iterated on — a distributed solve
@@ -78,8 +31,7 @@ pub struct LanczosResultIn<V> {
     pub eigenvalues: Vec<f64>,
     /// Ritz vectors (if requested), aligned with `eigenvalues`.
     pub eigenvectors: Option<Vec<V>>,
-    /// Matrix-vector products performed (the Krylov dimension for the
-    /// unrestarted solver).
+    /// Matrix-vector products performed.
     pub iterations: usize,
     /// Final residual estimates per returned eigenvalue.
     pub residuals: Vec<f64>,
@@ -92,248 +44,15 @@ pub struct LanczosResultIn<V> {
     /// Checkpoint rollbacks performed by the silent-error defense
     /// ([`crate::health`]): cycles that detected corruption (transport
     /// CRC/ABFT or a solver health violation) and were replayed from the
-    /// newest valid checkpoint. 0 on a clean run; the unrestarted solver
-    /// has no rollback path and always reports 0.
+    /// newest valid checkpoint. 0 on a clean run.
     pub rollbacks: u64,
 }
 
 /// Result of a shared-memory (slice-backed) Lanczos run.
 pub type LanczosResult<S> = LanczosResultIn<Vec<S>>;
 
-/// Computes the `k` smallest eigenpairs of a Hermitian operator on dense
-/// shared-memory vectors. Thin wrapper over [`lanczos_smallest_in`] with
-/// `V = Vec<S>`.
-///
-/// # Panics
-/// Panics if `k == 0`, `k > op.dim()` or the operator reports itself
-/// non-Hermitian.
-pub fn lanczos_smallest<S: Scalar, Op: LinearOp<S> + ?Sized>(
-    op: &Op,
-    k: usize,
-    opts: &LanczosOptions,
-) -> LanczosResult<S> {
-    lanczos_smallest_in::<Vec<S>, Op>(op, k, opts)
-}
-
-/// Computes the `k` smallest eigenpairs of a Hermitian operator, running
-/// the whole recurrence in place on the operator's vector storage.
-///
-/// **Memory routing:** when the Krylov dimension implied by
-/// `opts.max_iter` exceeds `opts.max_retained`, the solve goes through
-/// [`thick_restart_lanczos_in`] with a `max_retained`-vector budget —
-/// same result type, bounded memory. Small problems take the classic
-/// unrestarted path below.
-///
-/// # Panics
-/// Panics if `k == 0`, `k > op.dim()` or the operator reports itself
-/// non-Hermitian.
-pub fn lanczos_smallest_in<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
-    op: &Op,
-    k: usize,
-    opts: &LanczosOptions,
-) -> LanczosResultIn<V> {
-    let m_max = opts.max_iter.min(op.dim());
-    if m_max + 1 > opts.max_retained && opts.max_retained >= 2 * k + 3 {
-        // Preserve `max_iter` as a work bound: restarting re-does some
-        // work per cycle (each compression discards subspace
-        // information), so grant the routed solve ~4× the requested
-        // matvec budget, translated into restart cycles via the
-        // per-cycle chain length.
-        let (keep, m) = crate::restart::split_budget(k, opts.max_retained);
-        let chain = (m - keep).max(1);
-        let max_restarts = (4 * opts.max_iter).div_ceil(chain).max(4);
-        let ropts = RestartOptions {
-            k,
-            extra: opts.max_retained - k,
-            max_restarts,
-            tol: opts.tol,
-            seed: opts.seed,
-            want_vectors: opts.want_vectors,
-            checkpoint: opts.checkpoint.clone(),
-        };
-        return thick_restart_lanczos_in(op, &ropts);
-    }
-    lanczos_plain_in(op, k, opts)
-}
-
-/// The classic unrestarted recurrence (every Krylov vector retained).
-/// [`lanczos_smallest_in`] routes here for small problems; the
-/// thick-restart solver also delegates here when the whole space fits in
-/// its budget.
-pub(crate) fn lanczos_plain_in<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
-    op: &Op,
-    k: usize,
-    opts: &LanczosOptions,
-) -> LanczosResultIn<V> {
-    let n = op.dim();
-    assert!(k >= 1, "need at least one eigenpair");
-    assert!(k <= n, "k = {k} exceeds dimension {n}");
-    assert!(op.is_hermitian(), "Lanczos requires a Hermitian operator");
-    let m_max = opts.max_iter.min(n).max(k + 1).min(n);
-
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut v0 = op.new_vec();
-    random_fill(&mut v0, &mut rng);
-    let nrm = v0.norm();
-    v0.scale(1.0 / nrm);
-
-    let mut basis: Vec<V> = vec![v0];
-    let mut alphas: Vec<f64> = Vec::new();
-    let mut betas: Vec<f64> = Vec::new();
-    let mut w = op.new_vec();
-
-    let mut converged = false;
-    let mut breakdowns = 0usize;
-    let mut exact_break = false;
-    let mut peak = 2usize; // basis + workspace
-    let mut last_check: (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
-
-    for j in 0..m_max {
-        // Fused matvec+dot: `w = H v_j` and `α_j = ⟨v_j, w⟩` in one pass
-        // over the freshly written output (no clone of v_j either — the
-        // operator reads the basis vector in place).
-        let alpha = op.apply_dot(&basis[j], &mut w).re();
-        alphas.push(alpha);
-        if !alpha.is_finite() {
-            // Surface the typed health error *before* cgs2 sweeps the
-            // poisoned workspace through the whole basis: a NaN matvec
-            // output must never be mistaken for (non-)convergence.
-            crate::health::raise(crate::health::SolverHealthError {
-                cycle: 0,
-                check: "alpha",
-                detail: format!("diagonal coefficient {j} is {alpha}"),
-            });
-        }
-        // Full reorthogonalization, two *blocked* classical Gram–Schmidt
-        // passes (CGS2 — "twice is enough" is precisely the repeated-CGS
-        // theorem): each pass sweeps `w` once to take all coefficients at
-        // a go (`multi_dot`) and once to apply them, instead of the
-        // 2·m sweeps of the vector-at-a-time loop. The explicit
-        // three-term subtractions (`α v_j`, `β v_{j-1}`) are subsumed by
-        // the first pass — `⟨v_j, w⟩` *is* α and `⟨v_{j-1}, w⟩` is β up
-        // to rounding, so projecting against the whole basis removes them
-        // along with every older component: two more full sweeps saved.
-        // The second pass's update is fused with the β norm (one sweep
-        // fewer again).
-        let beta = cgs2_beta(&basis, &mut w);
-        if !beta.is_finite() {
-            crate::health::raise(crate::health::SolverHealthError {
-                cycle: 0,
-                check: "beta",
-                detail: format!("off-diagonal coefficient {j} is {beta}"),
-            });
-        }
-
-        if beta <= 1e-13 {
-            // Exact invariant subspace: every Ritz pair of the projected
-            // problem is a true eigenpair, but the *multiplicity* of a
-            // degenerate eigenvalue may not be resolved yet — each
-            // invariant block contributes at most one copy. Keep
-            // restarting with fresh random directions (re-orthogonalized
-            // with blocked CGS2 against the whole basis, converged Ritz
-            // directions included) until k values exist AND more than k
-            // independent blocks were explored; only then is every copy
-            // reachable from some block.
-            breakdowns += 1;
-            if alphas.len() >= k && (breakdowns > k || basis.len() >= m_max) {
-                converged = true;
-                exact_break = true;
-                break;
-            }
-            if basis.len() >= m_max {
-                exact_break = true;
-                break;
-            }
-            let mut fresh = op.new_vec();
-            random_fill(&mut fresh, &mut rng);
-            let before = fresh.norm();
-            let nf = cgs2_beta(&basis, &mut fresh);
-            if nf <= 1e-10 * before {
-                // The basis spans the whole space: the projected problem
-                // is exact and complete.
-                converged = alphas.len() >= k;
-                exact_break = true;
-                break;
-            }
-            fresh.scale(1.0 / nf);
-            betas.push(0.0);
-            basis.push(fresh);
-            peak = peak.max(basis.len() + 1);
-            continue;
-        }
-
-        // Convergence test on the projected problem.
-        if alphas.len() >= k {
-            let (vals, vecs) = tridiag_eigh(&alphas, &betas, true);
-            let vecs = vecs.unwrap();
-            let m = alphas.len();
-            let spectral_scale =
-                vals.iter().fold(0.0f64, |acc, v| acc.max(v.abs())).max(1e-300);
-            let residuals: Vec<f64> = (0..k).map(|i| (beta * vecs[i][m - 1]).abs()).collect();
-            let ok = residuals.iter().all(|r| *r <= opts.tol * spectral_scale);
-            last_check = (vals[..k].to_vec(), residuals);
-            if ok {
-                converged = true;
-                break;
-            }
-        }
-
-        if basis.len() == m_max {
-            break;
-        }
-        betas.push(beta);
-        w.scale(1.0 / beta);
-        basis.push(w.clone());
-        peak = peak.max(basis.len() + 1);
-    }
-
-    // Final projected solve (covers the path where the loop ended without
-    // a convergence check).
-    let (vals, tvecs) = tridiag_eigh(&alphas, &betas, true);
-    let tvecs = tvecs.unwrap();
-    let m = alphas.len();
-    let k_eff = k.min(m);
-    let eigenvalues: Vec<f64> = vals[..k_eff].to_vec();
-    let residuals = if last_check.0.len() == k_eff {
-        last_check.1
-    } else if exact_break {
-        // Exact invariant-subspace exit: the Ritz pairs are exact.
-        vec![0.0; k_eff]
-    } else {
-        vec![f64::NAN; k_eff]
-    };
-
-    let eigenvectors = if opts.want_vectors {
-        let mut out = Vec::with_capacity(k_eff);
-        for tv in tvecs.iter().take(k_eff) {
-            let mut x = op.new_vec();
-            let coeffs: Vec<V::Scalar> =
-                tv.iter().take(m).map(|&t| V::Scalar::from_re(t)).collect();
-            V::multi_axpy(&coeffs, &basis[..m], &mut x);
-            let nx = x.norm();
-            x.scale(1.0 / nx);
-            out.push(x);
-        }
-        peak = peak.max(basis.len() + 1 + k_eff);
-        Some(out)
-    } else {
-        None
-    };
-
-    LanczosResultIn {
-        eigenvalues,
-        eigenvectors,
-        iterations: m,
-        residuals,
-        converged,
-        peak_retained: peak,
-        rollbacks: 0,
-    }
-}
-
 /// Two blocked CGS passes orthogonalizing `w` against `basis`, the second
 /// fused with the norm of the result: returns `β = ‖(1 - P)² w‖`.
-/// Shared with the thick-restart solver ([`crate::restart`]).
 pub(crate) fn cgs2_beta<V: KrylovVec>(basis: &[V], w: &mut V) -> f64 {
     let mut beta_sqr = f64::NAN;
     for pass in 0..2 {
@@ -391,224 +110,4 @@ pub(crate) fn random_fill<V: KrylovVec>(v: &mut V, rng: &mut StdRng) {
         let im: f64 = if V::Scalar::N_REALS == 2 { rng.gen_range(-1.0..1.0) } else { 0.0 };
         V::Scalar::from_reals([re, im])
     });
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::jacobi::eigh_real;
-    use crate::op::DenseOp;
-    use ls_kernels::Complex64;
-
-    fn random_symmetric(n: usize, seed: u64) -> Vec<f64> {
-        let mut s = seed;
-        let mut next = move || {
-            s = ls_kernels::hash64_01(s.wrapping_add(1));
-            (s >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
-        };
-        let mut a = vec![0.0f64; n * n];
-        for i in 0..n {
-            for j in i..n {
-                let x = next();
-                a[i * n + j] = x;
-                a[j * n + i] = x;
-            }
-        }
-        a
-    }
-
-    #[test]
-    fn matches_jacobi_on_dense_symmetric() {
-        let n = 60;
-        let a = random_symmetric(n, 7);
-        let (expect, _) = eigh_real(&a, n);
-        let op = DenseOp::new(n, a);
-        let res = lanczos_smallest(
-            &op,
-            4,
-            &LanczosOptions { max_iter: n, tol: 1e-11, ..Default::default() },
-        );
-        assert!(res.converged, "residuals: {:?}", res.residuals);
-        for (i, (got, want)) in res.eigenvalues.iter().zip(&expect).take(4).enumerate() {
-            assert!((got - want).abs() < 1e-8, "λ{i}: {got} vs {want}");
-        }
-    }
-
-    #[test]
-    fn ritz_vectors_have_small_residuals() {
-        let n = 40;
-        let a = random_symmetric(n, 99);
-        let op = DenseOp::new(n, a.clone());
-        let res = lanczos_smallest(
-            &op,
-            3,
-            &LanczosOptions {
-                max_iter: n,
-                tol: 1e-11,
-                want_vectors: true,
-                ..Default::default()
-            },
-        );
-        let vecs = res.eigenvectors.unwrap();
-        for (lam, v) in res.eigenvalues.iter().zip(&vecs) {
-            let mut av = vec![0.0f64; n];
-            LinearOp::apply(&op, v, &mut av);
-            let res_norm: f64 = av
-                .iter()
-                .zip(v)
-                .map(|(x, y)| (x - lam * y) * (x - lam * y))
-                .sum::<f64>()
-                .sqrt();
-            assert!(res_norm < 1e-7, "residual {res_norm}");
-        }
-    }
-
-    #[test]
-    fn complex_hermitian_operator() {
-        // H = [[1, i], [-i, 1]] ⊗ I_10 + diagonal perturbation.
-        let n = 20;
-        let mut h = vec![Complex64::ZERO; n * n];
-        for b in 0..10 {
-            let (i, j) = (2 * b, 2 * b + 1);
-            h[i * n + i] = Complex64::new(1.0 + 0.01 * b as f64, 0.0);
-            h[j * n + j] = Complex64::new(1.0 + 0.01 * b as f64, 0.0);
-            h[i * n + j] = Complex64::I;
-            h[j * n + i] = -Complex64::I;
-        }
-        let expect = crate::jacobi::eigvals_hermitian(&h, n);
-        let op = DenseOp::new(n, h);
-        let res = lanczos_smallest(
-            &op,
-            3,
-            &LanczosOptions { max_iter: n, tol: 1e-11, ..Default::default() },
-        );
-        for (got, want) in res.eigenvalues.iter().zip(&expect).take(3) {
-            assert!((got - want).abs() < 1e-8, "{got} vs {want}");
-        }
-    }
-
-    #[test]
-    fn small_dimension_edge_cases() {
-        // dim == 1.
-        let op = DenseOp::new(1, vec![4.2]);
-        let res = lanczos_smallest(&op, 1, &LanczosOptions::default());
-        assert!((res.eigenvalues[0] - 4.2).abs() < 1e-12);
-        // k == dim.
-        let op = DenseOp::new(3, vec![1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 3.0]);
-        let res = lanczos_smallest(&op, 3, &LanczosOptions::default());
-        assert!((res.eigenvalues[0] - 1.0).abs() < 1e-10);
-        assert!((res.eigenvalues[2] - 3.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn degenerate_spectrum_with_restart() {
-        // Two distinct eigenvalues force an invariant subspace after two
-        // steps, exercising the random-restart path. The re-seeded
-        // direction is orthogonalized against the whole basis (converged
-        // Ritz directions included) and restarts continue until more
-        // than k independent blocks were explored, so the *full
-        // multiplicity* of the degenerate ground state is recovered —
-        // the earlier behaviour stopped at the first k exact values and
-        // could return only two copies of -1.
-        let n = 30;
-        let mut a = vec![0.0f64; n * n];
-        for i in 0..n {
-            a[i * n + i] = if i < 3 { -1.0 } else { 2.0 };
-        }
-        let op = DenseOp::new(n, a);
-        let res =
-            lanczos_smallest(&op, 4, &LanczosOptions { max_iter: n, ..Default::default() });
-        assert!((res.eigenvalues[0] + 1.0).abs() < 1e-9);
-        // Every returned value is in the true spectrum {-1, 2}.
-        for v in &res.eigenvalues {
-            assert!(
-                (v + 1.0).abs() < 1e-9 || (v - 2.0).abs() < 1e-9,
-                "spurious eigenvalue {v}"
-            );
-        }
-        // Multiplicity regression lock: exactly three copies of -1, then 2.
-        let copies = res.eigenvalues.iter().filter(|v| (*v + 1.0).abs() < 1e-9).count();
-        assert_eq!(copies, 3, "eigenvalues: {:?}", res.eigenvalues);
-        assert!((res.eigenvalues[3] - 2.0).abs() < 1e-9);
-        assert!(res.converged);
-    }
-
-    #[test]
-    fn identity_operator_restarts_to_k_values() {
-        let n = 10;
-        let mut a = vec![0.0f64; n * n];
-        for i in 0..n {
-            a[i * n + i] = 1.0;
-        }
-        let op = DenseOp::new(n, a);
-        let res = lanczos_smallest(&op, 3, &LanczosOptions::default());
-        assert_eq!(res.eigenvalues.len(), 3);
-        for v in &res.eigenvalues {
-            assert!((v - 1.0).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds dimension")]
-    fn k_too_large_panics() {
-        let op = DenseOp::new(2, vec![1.0, 0.0, 0.0, 1.0]);
-        let _ = lanczos_smallest(&op, 3, &LanczosOptions::default());
-    }
-
-    /// A dense operator that hands out block-distributed vectors: drives
-    /// the generic solver through the `DistVec` storage path without any
-    /// cluster machinery.
-    struct DistDense {
-        inner: DenseOp<f64>,
-        lens: Vec<usize>,
-    }
-
-    impl KrylovOp<ls_runtime::DistVec<f64>> for DistDense {
-        fn dim(&self) -> usize {
-            LinearOp::dim(&self.inner)
-        }
-        fn new_vec(&self) -> ls_runtime::DistVec<f64> {
-            ls_runtime::DistVec::zeros(&self.lens)
-        }
-        fn apply(&self, x: &ls_runtime::DistVec<f64>, y: &mut ls_runtime::DistVec<f64>) {
-            let mut dense = vec![0.0; KrylovOp::dim(self)];
-            LinearOp::apply(&self.inner, &x.concat(), &mut dense);
-            let mut lo = 0;
-            for part in y.parts_mut() {
-                let hi = lo + part.len();
-                part.copy_from_slice(&dense[lo..hi]);
-                lo = hi;
-            }
-        }
-    }
-
-    #[test]
-    fn distvec_storage_agrees_with_dense_storage() {
-        let n = 48;
-        let a = random_symmetric(n, 41);
-        let opts = LanczosOptions {
-            max_iter: n,
-            tol: 1e-11,
-            want_vectors: true,
-            ..Default::default()
-        };
-        let dense = lanczos_smallest(&DenseOp::new(n, a.clone()), 3, &opts);
-        let dist_op = DistDense { inner: DenseOp::new(n, a), lens: vec![11, 0, 30, 7] };
-        let dist = lanczos_smallest_in(&dist_op, 3, &opts);
-        assert!(dense.converged && dist.converged);
-        assert_eq!(dense.iterations, dist.iterations);
-        for (a, b) in dense.eigenvalues.iter().zip(&dist.eigenvalues) {
-            assert!((a - b).abs() < 1e-10, "{a} vs {b}");
-        }
-        // Ritz vectors come back distributed, matching up to global sign
-        // and BLAS-1 reduction rounding (per-part partial sums differ
-        // from the dense partition's).
-        let dv = dense.eigenvectors.unwrap();
-        let xv = dist.eigenvectors.unwrap();
-        for (d, x) in dv.iter().zip(&xv) {
-            let x = x.concat();
-            let overlap: f64 = d.iter().zip(&x).map(|(p, q)| p * q).sum();
-            assert!((overlap.abs() - 1.0).abs() < 1e-8, "overlap {overlap}");
-        }
-    }
 }

@@ -21,19 +21,17 @@
 //!   deterministic kernels** (`par_dot`, `par_norm_sqr`, blocked
 //!   multi-vector `par_multi_dot`/`par_multi_axpy`, fused axpy+norm)
 //!   whose reductions are bit-identical at any `LS_NUM_THREADS`;
-//! * [`lanczos::lanczos_smallest_in`] — Lanczos with full (blocked CGS2)
-//!   reorthogonalization and Ritz-residual convergence control, written
-//!   once against the vector abstraction and running entirely on the
-//!   parallel fused pipeline ([`lanczos::lanczos_smallest`] is the
-//!   slice-based wrapper); [`expm`] and [`spectral`] reuse the same
-//!   factorization for propagators and spectral functions;
-//! * [`restart::thick_restart_lanczos_in`] — the memory-bounded variant:
-//!   at most `k + extra` retained Krylov vectors via Ritz compression at
+//! * [`restart::thick_restart_lanczos_in`] — the eigensolver: Lanczos
+//!   with full (blocked CGS2) reorthogonalization and Ritz-residual
+//!   convergence control, written once against the vector abstraction
+//!   ([`restart::thick_restart_lanczos`] is the slice-based wrapper). It
+//!   holds at most `k + extra` Krylov vectors via Ritz compression at
 //!   restart boundaries, with optional checkpoint/restart
-//!   ([`restart::CheckpointPolicy`]) whose resume is bit-identical to
-//!   the uninterrupted solve. [`lanczos_smallest_in`] routes here
-//!   automatically when `max_iter` exceeds the
-//!   [`LanczosOptions::max_retained`] budget;
+//!   ([`restart::CheckpointPolicy`]) whose resume is bit-identical to the
+//!   uninterrupted solve; a budget covering the whole space runs one
+//!   unrestarted chain. [`lanczos`] holds the shared building blocks
+//!   (blocked CGS2, the Krylov factorization that [`expm`] and
+//!   [`spectral`] reuse for propagators and spectral functions);
 //! * [`checkpoint`] — the versioned, checksummed on-disk format behind
 //!   that resume contract ([`save_checkpoint`] / [`load_checkpoint`],
 //!   typed [`CheckpointError`]s for truncated, corrupt or mismatched
@@ -73,9 +71,7 @@ pub use expm::{
     evolve_imaginary_time, evolve_imaginary_time_in, evolve_real_time, evolve_real_time_in,
 };
 pub use health::{HealthMonitor, SolverHealthError};
-pub use lanczos::{
-    lanczos_smallest, lanczos_smallest_in, LanczosOptions, LanczosResult, LanczosResultIn,
-};
+pub use lanczos::{LanczosResult, LanczosResultIn};
 pub use op::{DenseOp, LinearOp};
 pub use precision::{
     eigensolve_precision, refine_in_f64, thick_restart_lanczos_f32, DistF32Vec, F32Vec,

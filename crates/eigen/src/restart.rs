@@ -1,18 +1,25 @@
-//! Thick-restart Lanczos: memory-bounded eigensolving with
+//! Thick-restart Lanczos: the crate's eigensolver, memory-bounded, with
 //! checkpoint/restart.
 //!
-//! Full-reorthogonalization Lanczos ([`crate::lanczos`]) retains every
-//! Krylov vector, so a long solve on a large sector is memory-bound by
-//! the *solver* (`m · dim` scalars), not the matrix — exactly backwards
-//! for a code whose point is reaching dimensions where memory is the
-//! binding constraint. Thick restart (Wu & Simon; the restarting used by
-//! the Lanczos solvers in XDiag / `lattice-symmetries`) caps the basis:
-//! run a cycle of the ordinary recurrence, diagonalize the projected
-//! matrix, keep only the best `keep` Ritz pairs plus the trailing
-//! residual direction, and continue expanding from there. The retained
-//! set plus workspace never exceeds `k + extra` vectors
-//! ([`RestartOptions`]), so sector size — not iteration count — sets the
-//! memory budget.
+//! Full-reorthogonalization Lanczos retains every Krylov vector, so a
+//! long solve on a large sector is memory-bound by the *solver*
+//! (`m · dim` scalars), not the matrix — exactly backwards for a code
+//! whose point is reaching dimensions where memory is the binding
+//! constraint. Thick restart (Wu & Simon; the restarting used by the
+//! Lanczos solvers in XDiag / `lattice-symmetries`) caps the basis: run a
+//! cycle of the ordinary recurrence, diagonalize the projected matrix,
+//! keep only the best `keep` Ritz pairs plus the trailing residual
+//! direction, and continue expanding from there. The retained set plus
+//! workspace never exceeds `k + extra` vectors ([`RestartOptions`]), so
+//! sector size — not iteration count — sets the memory budget.
+//!
+//! **Whole-space mode.** When the budget covers the unrestarted solve —
+//! `dim` basis vectors plus workspace plus Ritz assembly, so `extra ≥
+//! dim` (or `usize::MAX`) asks for it — the same driver runs one chain of
+//! up to `dim` steps instead: convergence is tested after every step,
+//! nothing is ever compressed or checkpointed. Full Lanczos is this
+//! driver with an unbounded budget; the breakdown rule, the health
+//! checks and the rollback path are the same on both paths.
 //!
 //! After a restart the projected operator is no longer tridiagonal but
 //! **arrowhead + tridiagonal**: locked Ritz values `θ_i` on the diagonal,
@@ -22,12 +29,11 @@
 //! cycles use the dense Jacobi reference ([`crate::jacobi`]) on the small
 //! `m × m` projected matrix — both `O(m³) ≪` one matrix-vector product.
 //!
-//! The expansion itself is the same blocked-CGS2 pipeline as the
-//! unrestarted solver (fused [`KrylovOp::apply_dot`],
-//! `multi_dot`/`multi_axpy` sweeps, fused update+norm), written against
-//! [`KrylovVec`]/[`KrylovOp`] — one implementation serves `Vec<S>` and
-//! the locale-partitioned `DistVec<S>`, and a distributed solve stays
-//! distributed.
+//! The expansion is blocked CGS2 on the fused pipeline (fused
+//! [`KrylovOp::apply_dot`], `multi_dot`/`multi_axpy` sweeps, fused
+//! update+norm), written against [`KrylovVec`]/[`KrylovOp`] — one
+//! implementation serves `Vec<S>` and the locale-partitioned
+//! `DistVec<S>`, and a distributed solve stays distributed.
 //!
 //! Long cluster runs additionally get **checkpoint/restart**
 //! ([`CheckpointPolicy`]): at restart boundaries the compressed state
@@ -42,9 +48,7 @@ use crate::checkpoint::{
 };
 use crate::health::{max_rollbacks_from_env, raise, HealthMonitor, SolverHealthError};
 use crate::jacobi::eigh_real;
-use crate::lanczos::{
-    cgs2_beta, lanczos_plain_in, random_fill, LanczosOptions, LanczosResult, LanczosResultIn,
-};
+use crate::lanczos::{cgs2_beta, random_fill, LanczosResult, LanczosResultIn};
 use crate::tridiag::tridiag_eigh;
 use crate::vector::{KrylovOp, KrylovVec};
 use crate::LinearOp;
@@ -53,7 +57,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
 
-/// Exact-breakdown threshold, shared with the unrestarted solver.
+/// Exact-breakdown threshold.
 const BREAKDOWN: f64 = 1e-13;
 
 /// When and where to checkpoint a thick-restart solve.
@@ -100,12 +104,14 @@ pub struct RestartOptions {
     /// Memory headroom beyond `k`: the solve holds at most `k + extra`
     /// Krylov-state vectors at any instant (locked Ritz vectors, chain,
     /// workspace and compression scratch). Must be ≥ `k + 3` so a
-    /// restart cycle can make progress.
+    /// restart cycle can make progress. A budget covering the whole
+    /// space (`extra ≥ dim`, or `dim + 1` with `want_vectors`; `k +
+    /// extra` saturates, so `usize::MAX` works) selects whole-space mode.
     pub extra: usize,
-    /// Cap on completed restart cycles, **cumulative across resumes**
-    /// (the counter is stored in the checkpoint): a resumed solve
-    /// continues toward the same limit. Hitting it returns the current
-    /// Ritz estimates with `converged = false`.
+    /// Cap on completed restart cycles (≥ 1), **cumulative across
+    /// resumes** (the counter is stored in the checkpoint): a resumed
+    /// solve continues toward the same limit. Hitting it returns the
+    /// current Ritz estimates with `converged = false`.
     pub max_restarts: usize,
     /// Convergence threshold on the Ritz residual estimate
     /// `|β·y_i[m-1]|` relative to the spectral scale.
@@ -197,6 +203,27 @@ fn projected_eigh(
     }
 }
 
+/// Projected solve plus the Ritz-residual test at chain residual `beta`:
+/// returns the Ritz values, the projected eigenvectors, the residual
+/// estimates `|β·y_i[m-1]|` of the `k` smallest pairs, and whether all of
+/// them are within `tol` of the spectral scale.
+fn ritz_test(
+    diag: &[f64],
+    border: &[f64],
+    offdiag: &[f64],
+    l: usize,
+    beta: f64,
+    k: usize,
+    tol: f64,
+) -> (Vec<f64>, Vec<Vec<f64>>, Vec<f64>, bool) {
+    let (vals, yvecs) = projected_eigh(diag, border, offdiag, l);
+    let m = diag.len();
+    let spectral_scale = vals.iter().fold(0.0f64, |acc, v| acc.max(v.abs())).max(1e-300);
+    let resid: Vec<f64> = (0..k).map(|i| (beta * yvecs[i][m - 1]).abs()).collect();
+    let ok = resid.iter().all(|r| *r <= tol * spectral_scale);
+    (vals, yvecs, resid, ok)
+}
+
 /// Shared-memory wrapper over [`thick_restart_lanczos_in`] with
 /// `V = Vec<S>`.
 pub fn thick_restart_lanczos<S: Scalar, Op: LinearOp<S> + ?Sized>(
@@ -208,18 +235,19 @@ pub fn thick_restart_lanczos<S: Scalar, Op: LinearOp<S> + ?Sized>(
 
 /// Computes the `k` smallest eigenpairs of a Hermitian operator while
 /// holding at most `k + extra` Krylov-state vectors, restarting the
-/// recurrence through the Ritz compression of the projected matrix.
+/// recurrence through the Ritz compression of the projected matrix (or,
+/// when the budget covers the whole space, running one unrestarted
+/// chain — see the module docs).
 ///
-/// The result type is the same [`LanczosResultIn`] the unrestarted
-/// solver returns (Ritz vectors come back in the solver's storage);
-/// `iterations` counts matrix-vector products performed *by this call*
-/// and `peak_retained` reports the realized vector high-water mark.
+/// Ritz vectors come back in the solver's storage; `iterations` counts
+/// matrix-vector products performed *by this call* and `peak_retained`
+/// reports the realized vector high-water mark.
 ///
 /// # Panics
-/// Panics if `k == 0`, `k > op.dim()`, `extra < k + 3`, the operator
-/// reports itself non-Hermitian, or resuming from a corrupt/mismatched
-/// checkpoint (the typed [`crate::checkpoint::CheckpointError`] is in
-/// the panic message).
+/// Panics if `k == 0`, `k > op.dim()`, `extra < k + 3`,
+/// `max_restarts == 0`, the operator reports itself non-Hermitian, or
+/// resuming from a corrupt/mismatched checkpoint (the typed
+/// [`crate::checkpoint::CheckpointError`] is in the panic message).
 pub fn thick_restart_lanczos_in<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
     op: &Op,
     opts: &RestartOptions,
@@ -235,39 +263,34 @@ pub fn thick_restart_lanczos_in<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
         opts.extra,
         k + 3
     );
-    let b = k + opts.extra;
-    // Delegate to the unrestarted solver only when its own high-water
-    // mark (n basis vectors + workspace + Ritz assembly) provably fits
-    // the budget — the `≤ k + extra` contract holds on every path.
-    // Slightly larger small problems still run the restart machinery:
-    // the expansion simply exhausts the space and finishes exactly.
+    assert!(opts.max_restarts >= 1, "max_restarts = 0 allows no restart cycle at all");
+    let b = k.saturating_add(opts.extra);
+    // Whole-space mode when the unrestarted high-water mark (n basis
+    // vectors + workspace + Ritz assembly) provably fits the budget — the
+    // `≤ k + extra` contract holds on every path. Slightly larger small
+    // problems still run the restart machinery: the expansion simply
+    // exhausts the space and finishes exactly.
     let assembly = if opts.want_vectors { k } else { 0 };
-    if n + 1 + assembly <= b {
-        let plain = LanczosOptions {
-            max_iter: n,
-            tol: opts.tol,
-            seed: opts.seed,
-            want_vectors: opts.want_vectors,
-            ..Default::default()
-        };
-        return lanczos_plain_in(op, k, &plain);
-    }
-    let (keep_max, m) = split_budget(k, b);
+    let whole = n + 1 + assembly <= b;
+    let (keep_max, m) = if whole { (k, n) } else { split_budget(k, b) };
+    let checkpoint = if whole { None } else { opts.checkpoint.as_ref() };
+    // A whole-space chain grows on demand: `n` may be the full sector.
+    let cap = if whole { 0 } else { m };
 
     // ---- state at a restart boundary -----------------------------------
     // basis = [u_0 .. u_{l-1}, chain seed, chain ...]; diag holds the l
     // locked Ritz values then the chain alphas; border couples each
     // locked vector to the chain seed; offdiag is the chain betas.
-    let mut basis: Vec<V> = Vec::with_capacity(m);
-    let mut diag: Vec<f64> = Vec::with_capacity(m);
+    let mut basis: Vec<V> = Vec::with_capacity(cap);
+    let mut diag: Vec<f64> = Vec::with_capacity(cap);
     let mut border: Vec<f64> = Vec::new();
-    let mut offdiag: Vec<f64> = Vec::with_capacity(m);
+    let mut offdiag: Vec<f64> = Vec::with_capacity(cap);
     let mut l = 0usize;
     let mut restarts = 0usize;
     let mut draws = 0u64;
     let mut breakdowns = 0usize;
 
-    if let Some(cp) = &opts.checkpoint {
+    if let Some(cp) = checkpoint {
         if cp.resume && cp.path.exists() {
             let st = match load_latest_checkpoint::<V, Op>(&cp.path, op) {
                 Ok(st) => st,
@@ -360,31 +383,39 @@ pub fn thick_restart_lanczos_in<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
                         break;
                     }
                     fresh.scale(1.0 / nf);
-                    if basis.len() == m {
+                    // Test for convergence where the mode tests it: at a
+                    // full chain, or at every step in whole-space mode.
+                    if whole || basis.len() == m {
                         if breakdowns > k {
                             // More than k independent invariant blocks have
-                            // been explored (cumulative across cycles, like
-                            // the unrestarted solver's rule): every copy of
-                            // the wanted eigenvalues is reachable from some
-                            // block, so the exact projected values stand.
+                            // been explored (cumulative across cycles): every
+                            // copy of the wanted eigenvalues is reachable
+                            // from some block, so the exact projected values
+                            // stand.
                             break;
                         }
-                        // The chain is full but `fresh` just proved an
-                        // unexplored subspace remains — multiplicity may be
-                        // unresolved. Force a restart with `fresh` as the
-                        // next chain seed (β = 0: decoupled from the locked
-                        // set, exactly a random-restart block).
-                        w = fresh;
-                        beta_last = 0.0;
-                        forced_restart = true;
-                        break;
+                        if !whole {
+                            // The chain is full but `fresh` just proved an
+                            // unexplored subspace remains — multiplicity may
+                            // be unresolved. Force a restart with `fresh` as
+                            // the next chain seed (β = 0: decoupled from the
+                            // locked set, exactly a random-restart block).
+                            w = fresh;
+                            beta_last = 0.0;
+                            forced_restart = true;
+                            break;
+                        }
                     }
                     offdiag.push(0.0);
                     basis.push(fresh);
                     peak = peak.max(basis.len() + 1);
                     continue;
                 }
-                if basis.len() == m {
+                if basis.len() == m
+                    || (whole
+                        && diag.len() >= k
+                        && ritz_test(&diag, &border, &offdiag, l, beta, k, opts.tol).3)
+                {
                     beta_last = beta;
                     w.scale(1.0 / beta);
                     break; // w is now the normalized residual v_res
@@ -398,27 +429,25 @@ pub fn thick_restart_lanczos_in<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
             // ---- cycle end: projected solve + convergence test -------------
             let mcur = basis.len();
             assert!(mcur >= k, "Krylov space collapsed below k = {k} (dim {n})");
-            let (cvals, yvecs) = projected_eigh(&diag, &border, &offdiag, l);
+            let (cvals, yvecs, resid, within_tol) =
+                ritz_test(&diag, &border, &offdiag, l, beta_last, k, opts.tol);
             if let Err(e) = monitor.check_ritz(restarts, &cvals) {
                 raise(e);
             }
-            let spectral_scale =
-                cvals.iter().fold(0.0f64, |acc, v| acc.max(v.abs())).max(1e-300);
-            let resid: Vec<f64> =
-                (0..k).map(|i| (beta_last * yvecs[i][mcur - 1]).abs()).collect();
             if let Err(e) = monitor.check_residuals(restarts, &resid) {
                 raise(e);
             }
-            let ok = !forced_restart && resid.iter().all(|r| *r <= opts.tol * spectral_scale);
+            let ok = !forced_restart && within_tol;
             vals = cvals[..k].to_vec();
             residuals = resid;
 
-            if ok {
+            if ok || whole {
                 // Converged (β_last ≈ 0 without a forced restart means the
                 // reachable space is exhausted — the projected problem is
-                // then exact). Assemble Ritz vectors from the full cycle
+                // then exact), or a whole-space chain ended, which is never
+                // compressed. Assemble Ritz vectors from the full cycle
                 // basis before anything is compressed away.
-                converged = true;
+                converged = ok;
                 if opts.want_vectors {
                     let mut out = Vec::with_capacity(k);
                     for yv in yvecs.iter().take(k) {
@@ -466,7 +495,7 @@ pub fn thick_restart_lanczos_in<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
                 raise(e);
             }
 
-            if let Some(cp) = &opts.checkpoint {
+            if let Some(cp) = checkpoint {
                 if restarts.is_multiple_of(cp.every.max(1)) {
                     // Borrowed state: no clone of the retained basis, so the
                     // write stays inside the k + extra vector budget.
@@ -518,9 +547,7 @@ pub fn thick_restart_lanczos_in<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
                 // re-enters a clean communication epoch here) *before*
                 // the replay issues collectives.
                 op.recover();
-                let restored = opts
-                    .checkpoint
-                    .as_ref()
+                let restored = checkpoint
                     .filter(|cp| cp.path.exists())
                     .and_then(|cp| load_latest_checkpoint::<V, Op>(&cp.path, op).ok())
                     .filter(|st| st.k == k && st.budget == b);
@@ -585,8 +612,8 @@ pub fn thick_restart_lanczos_in<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
 mod tests {
     use super::*;
     use crate::jacobi::eigh_real;
-    use crate::lanczos::lanczos_smallest;
     use crate::op::DenseOp;
+    use ls_kernels::Complex64;
 
     fn random_symmetric(n: usize, seed: u64) -> Vec<f64> {
         let mut s = seed;
@@ -638,36 +665,245 @@ mod tests {
         }
     }
 
+    /// Whole-space options: a budget no sector can exceed.
+    fn whole_space(k: usize) -> RestartOptions {
+        RestartOptions { extra: usize::MAX, ..RestartOptions::new(k) }
+    }
+
     #[test]
     fn agrees_with_full_memory_lanczos() {
         let n = 90;
         let a = random_symmetric(n, 23);
         let op = DenseOp::new(n, a);
-        let full = lanczos_smallest(
-            &op,
-            3,
-            &LanczosOptions { max_iter: n, tol: 1e-11, ..Default::default() },
-        );
+        let full = thick_restart_lanczos(&op, &RestartOptions { tol: 1e-11, ..whole_space(3) });
         let thick = thick_restart_lanczos(
             &op,
             &RestartOptions { extra: 10, tol: 1e-11, ..RestartOptions::new(3) },
         );
         assert!(full.converged && thick.converged);
+        assert!(thick.peak_retained < full.peak_retained);
         for (a, b) in full.eigenvalues.iter().zip(&thick.eigenvalues) {
             assert!((a - b).abs() < 1e-8, "{a} vs {b}");
         }
     }
 
     #[test]
-    fn small_problems_fall_back_to_plain_lanczos() {
+    fn small_problems_run_one_whole_space_chain() {
+        // Budget 26 covers the 12-dim space: one whole-space chain.
         let n = 12;
         let a = random_symmetric(n, 5);
         let (expect, _) = eigh_real(&a, n);
         let op = DenseOp::new(n, a);
         let res = thick_restart_lanczos(&op, &RestartOptions::new(2));
         assert!(res.converged);
+        assert_eq!(res.peak_retained, res.iterations + 1, "whole-space chain compressed");
         for (got, want) in res.eigenvalues.iter().zip(&expect) {
             assert!((got - want).abs() < 1e-8);
+        }
+    }
+
+    #[test]
+    fn whole_space_mode_stops_at_convergence_bit_identically() {
+        // A random symmetric matrix with one well-separated low level:
+        // the whole-space chain must stop at convergence (tested every
+        // step), not run to exhaustion, and stay within its budget.
+        let n = 300;
+        let mut a = random_symmetric(n, 31);
+        a[0] -= 60.0;
+        let op = DenseOp::new(n, a);
+        let opts = RestartOptions { extra: n, tol: 1e-11, ..RestartOptions::new(1) };
+        let solve = |threads: usize| {
+            let prev = rayon::set_thread_limit(threads);
+            let res = thick_restart_lanczos(&op, &opts);
+            rayon::set_thread_limit(prev);
+            res
+        };
+        let one = solve(1);
+        let wide = solve(0);
+        assert!(one.converged, "residuals {:?}", one.residuals);
+        assert!(one.iterations < n / 5, "{} steps: ran to exhaustion", one.iterations);
+        assert!(one.peak_retained <= opts.k + opts.extra, "peak {}", one.peak_retained);
+        assert_eq!(one.peak_retained, one.iterations + 1, "whole-space chain compressed");
+        assert_eq!(one.iterations, wide.iterations);
+        assert_eq!(one.eigenvalues[0].to_bits(), wide.eigenvalues[0].to_bits());
+        // Oracle: the budget-bounded path lands on the same value.
+        let bounded = thick_restart_lanczos(
+            &op,
+            &RestartOptions { extra: 12, tol: 1e-11, ..RestartOptions::new(1) },
+        );
+        assert!((one.eigenvalues[0] - bounded.eigenvalues[0]).abs() < 1e-8);
+    }
+
+    #[test]
+    fn matches_jacobi_on_dense_symmetric() {
+        let n = 60;
+        let a = random_symmetric(n, 7);
+        let (expect, _) = eigh_real(&a, n);
+        let op = DenseOp::new(n, a);
+        let res = thick_restart_lanczos(&op, &RestartOptions { tol: 1e-11, ..whole_space(4) });
+        assert!(res.converged, "residuals: {:?}", res.residuals);
+        for (i, (got, want)) in res.eigenvalues.iter().zip(&expect).take(4).enumerate() {
+            assert!((got - want).abs() < 1e-8, "λ{i}: {got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn ritz_vectors_have_small_residuals() {
+        let n = 40;
+        let a = random_symmetric(n, 99);
+        let op = DenseOp::new(n, a.clone());
+        let res = thick_restart_lanczos(
+            &op,
+            &RestartOptions { tol: 1e-11, want_vectors: true, ..whole_space(3) },
+        );
+        let vecs = res.eigenvectors.unwrap();
+        for (lam, v) in res.eigenvalues.iter().zip(&vecs) {
+            let mut av = vec![0.0f64; n];
+            LinearOp::apply(&op, v, &mut av);
+            let res_norm: f64 = av
+                .iter()
+                .zip(v)
+                .map(|(x, y)| (x - lam * y) * (x - lam * y))
+                .sum::<f64>()
+                .sqrt();
+            assert!(res_norm < 1e-7, "residual {res_norm}");
+        }
+    }
+
+    #[test]
+    fn complex_hermitian_operator() {
+        // H = [[1, i], [-i, 1]] ⊗ I_10 + diagonal perturbation.
+        let n = 20;
+        let mut h = vec![Complex64::ZERO; n * n];
+        for b in 0..10 {
+            let (i, j) = (2 * b, 2 * b + 1);
+            h[i * n + i] = Complex64::new(1.0 + 0.01 * b as f64, 0.0);
+            h[j * n + j] = Complex64::new(1.0 + 0.01 * b as f64, 0.0);
+            h[i * n + j] = Complex64::I;
+            h[j * n + i] = -Complex64::I;
+        }
+        let expect = crate::jacobi::eigvals_hermitian(&h, n);
+        let op = DenseOp::new(n, h);
+        let res = thick_restart_lanczos(&op, &RestartOptions { tol: 1e-11, ..whole_space(3) });
+        for (got, want) in res.eigenvalues.iter().zip(&expect).take(3) {
+            assert!((got - want).abs() < 1e-8, "{got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn small_dimension_edge_cases() {
+        // dim == 1.
+        let op = DenseOp::new(1, vec![4.2]);
+        let res = thick_restart_lanczos(&op, &RestartOptions::new(1));
+        assert!((res.eigenvalues[0] - 4.2).abs() < 1e-12);
+        // k == dim.
+        let op = DenseOp::new(3, vec![1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 3.0]);
+        let res = thick_restart_lanczos(&op, &RestartOptions::new(3));
+        assert!((res.eigenvalues[0] - 1.0).abs() < 1e-10);
+        assert!((res.eigenvalues[2] - 3.0).abs() < 1e-10);
+    }
+
+    #[test]
+    fn degenerate_spectrum_with_restart() {
+        // Two distinct eigenvalues force an invariant subspace after two
+        // steps, exercising the breakdown re-seed of the whole-space
+        // chain. The re-seeded direction is orthogonalized against the
+        // whole basis and re-seeding continues until more than k
+        // independent blocks were explored, so the *full multiplicity* of
+        // the degenerate ground state is recovered.
+        let n = 30;
+        let mut a = vec![0.0f64; n * n];
+        for i in 0..n {
+            a[i * n + i] = if i < 3 { -1.0 } else { 2.0 };
+        }
+        let op = DenseOp::new(n, a);
+        let res = thick_restart_lanczos(&op, &whole_space(4));
+        assert!((res.eigenvalues[0] + 1.0).abs() < 1e-9);
+        // Every returned value is in the true spectrum {-1, 2}.
+        for v in &res.eigenvalues {
+            assert!(
+                (v + 1.0).abs() < 1e-9 || (v - 2.0).abs() < 1e-9,
+                "spurious eigenvalue {v}"
+            );
+        }
+        // Multiplicity regression lock: exactly three copies of -1, then 2.
+        let copies = res.eigenvalues.iter().filter(|v| (*v + 1.0).abs() < 1e-9).count();
+        assert_eq!(copies, 3, "eigenvalues: {:?}", res.eigenvalues);
+        assert!((res.eigenvalues[3] - 2.0).abs() < 1e-9);
+        assert!(res.converged);
+    }
+
+    #[test]
+    fn identity_operator_restarts_to_k_values() {
+        let n = 10;
+        let mut a = vec![0.0f64; n * n];
+        for i in 0..n {
+            a[i * n + i] = 1.0;
+        }
+        let op = DenseOp::new(n, a);
+        let res = thick_restart_lanczos(&op, &RestartOptions::new(3));
+        assert_eq!(res.eigenvalues.len(), 3);
+        for v in &res.eigenvalues {
+            assert!((v - 1.0).abs() < 1e-10);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds dimension")]
+    fn k_too_large_panics() {
+        let op = DenseOp::new(2, vec![1.0, 0.0, 0.0, 1.0]);
+        let _ = thick_restart_lanczos(&op, &RestartOptions::new(3));
+    }
+
+    /// A dense operator that hands out block-distributed vectors: drives
+    /// the generic solver through the `DistVec` storage path without any
+    /// cluster machinery.
+    struct DistDense {
+        inner: DenseOp<f64>,
+        lens: Vec<usize>,
+    }
+
+    impl KrylovOp<ls_runtime::DistVec<f64>> for DistDense {
+        fn dim(&self) -> usize {
+            LinearOp::dim(&self.inner)
+        }
+        fn new_vec(&self) -> ls_runtime::DistVec<f64> {
+            ls_runtime::DistVec::zeros(&self.lens)
+        }
+        fn apply(&self, x: &ls_runtime::DistVec<f64>, y: &mut ls_runtime::DistVec<f64>) {
+            let mut dense = vec![0.0; KrylovOp::dim(self)];
+            LinearOp::apply(&self.inner, &x.concat(), &mut dense);
+            let mut lo = 0;
+            for part in y.parts_mut() {
+                let hi = lo + part.len();
+                part.copy_from_slice(&dense[lo..hi]);
+                lo = hi;
+            }
+        }
+    }
+
+    #[test]
+    fn distvec_storage_agrees_with_dense_storage() {
+        let n = 48;
+        let a = random_symmetric(n, 41);
+        let opts = RestartOptions { tol: 1e-11, want_vectors: true, ..whole_space(3) };
+        let dense = thick_restart_lanczos(&DenseOp::new(n, a.clone()), &opts);
+        let dist_op = DistDense { inner: DenseOp::new(n, a), lens: vec![11, 0, 30, 7] };
+        let dist = thick_restart_lanczos_in(&dist_op, &opts);
+        assert!(dense.converged && dist.converged);
+        assert_eq!(dense.iterations, dist.iterations);
+        for (a, b) in dense.eigenvalues.iter().zip(&dist.eigenvalues) {
+            assert!((a - b).abs() < 1e-10, "{a} vs {b}");
+        }
+        // Ritz vectors come back distributed, matching up to global sign
+        // and BLAS-1 reduction rounding (per-part partial sums differ
+        // from the dense partition's).
+        let dv = dense.eigenvectors.unwrap();
+        let xv = dist.eigenvectors.unwrap();
+        for (d, x) in dv.iter().zip(&xv) {
+            let x = x.concat();
+            let overlap: f64 = d.iter().zip(&x).map(|(p, q)| p * q).sum();
+            assert!((overlap.abs() - 1.0).abs() < 1e-8, "overlap {overlap}");
         }
     }
 
@@ -808,6 +1044,19 @@ mod tests {
         let op = DenseOp::new(50, vec![0.0; 2500]);
         let _ =
             thick_restart_lanczos(&op, &RestartOptions { extra: 2, ..RestartOptions::new(2) });
+    }
+
+    #[test]
+    #[should_panic(expected = "max_restarts")]
+    fn zero_max_restarts_panics() {
+        // Without the guard a fresh solve never enters the cycle loop and
+        // returns an empty eigenvalue list.
+        let n = 60;
+        let op = DenseOp::new(n, random_symmetric(n, 3));
+        let _ = thick_restart_lanczos(
+            &op,
+            &RestartOptions { extra: 8, max_restarts: 0, ..RestartOptions::new(2) },
+        );
     }
 
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

@@ -24,7 +24,7 @@
 
 use exact_diag::basis::SectorSpec;
 use exact_diag::basis::SymmetrizedOperator;
-use exact_diag::dist::eigensolve::{dist_lanczos_smallest, DistLanczosOptions};
+use exact_diag::dist::eigensolve::{dist_thick_restart_lanczos, DistRestartOptions};
 use exact_diag::dist::matvec::PcOptions;
 use exact_diag::dist::{
     dist_evolve_imaginary_time, dist_spectral_coefficients, enumerate_dist, matvec_pc,
@@ -120,14 +120,13 @@ fn main() {
     say!("\n== distributed Lanczos (in place on DistVec) ==");
     cluster.reset_stats();
     let t = std::time::Instant::now();
-    let res = dist_lanczos_smallest(
+    let res = dist_thick_restart_lanczos(
         &cluster,
         &op,
         &basis,
-        1,
-        &DistLanczosOptions {
+        &DistRestartOptions {
+            restart: RestartOptions { extra: 127, ..RestartOptions::new(1) },
             pc: PcOptions { capacity: 512, deterministic: true, ..PcOptions::default() },
-            ..Default::default()
         },
     );
     say!(

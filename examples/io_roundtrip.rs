@@ -9,7 +9,7 @@
 
 use exact_diag::basis::{SectorSpec, SymmetrizedOperator};
 use exact_diag::core::io;
-use exact_diag::dist::eigensolve::{dist_lanczos_smallest, DistLanczosOptions};
+use exact_diag::dist::eigensolve::{dist_thick_restart_lanczos, DistRestartOptions};
 use exact_diag::dist::enumerate_dist;
 use exact_diag::prelude::*;
 use exact_diag::runtime::{Cluster, ClusterSpec, DistVec};
@@ -27,7 +27,11 @@ fn main() {
     let basis = enumerate_dist(&cluster, &sector, 8);
     println!("distributed basis: dim {} over {locales} locales", basis.dim());
 
-    let res = dist_lanczos_smallest(&cluster, &op, &basis, 1, &DistLanczosOptions::default());
+    let opts = DistRestartOptions {
+        restart: RestartOptions { extra: 127, ..RestartOptions::new(1) },
+        ..Default::default()
+    };
+    let res = dist_thick_restart_lanczos(&cluster, &op, &basis, &opts);
     println!("E0 = {:.12}", res.eigenvalues[0]);
 
     // Make a deterministic hashed-distributed vector (e.g. |+...+>-ish).

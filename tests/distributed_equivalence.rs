@@ -9,7 +9,10 @@ use exact_diag::basis::{SectorSpec, SpinBasis, SymmetrizedOperator};
 use exact_diag::core::matvec::apply_serial;
 use exact_diag::dist::convert::{hashed_masks, to_block};
 use exact_diag::dist::matvec::{matvec_batched, matvec_naive, matvec_pc, PcOptions};
-use exact_diag::dist::{block_to_hashed, enumerate_dist, hashed_to_block};
+use exact_diag::dist::{
+    block_to_hashed, dist_thick_restart_lanczos, enumerate_dist, hashed_to_block,
+    DistRestartOptions,
+};
 use exact_diag::prelude::*;
 use exact_diag::runtime::{Cluster, ClusterSpec, DistVec};
 
@@ -29,6 +32,14 @@ fn problem(n: usize) -> (SectorSpec, SymmetrizedOperator<f64>, SpinBasis, Vec<f6
     let mut y = vec![0.0; basis.dim()];
     apply_serial(&op, &basis, &x, &mut y);
     (sector, op, basis, x, y)
+}
+
+/// The wrappers' solver configuration (128-vector budget) for `k` pairs.
+fn budget_128(k: usize, want_vectors: bool) -> DistRestartOptions {
+    DistRestartOptions {
+        restart: RestartOptions { extra: 128 - k, want_vectors, ..RestartOptions::new(k) },
+        ..Default::default()
+    }
 }
 
 /// Scatters a canonical vector into the hashed distribution of `dist`.
@@ -132,13 +143,7 @@ fn distributed_lanczos_invariant_under_cluster_shape() {
     for (locales, cores) in [(1usize, 1usize), (2, 2), (4, 1)] {
         let cluster = Cluster::new(ClusterSpec::new(locales, cores));
         let basis = enumerate_dist(&cluster, &sector, 3);
-        let res = exact_diag::dist::eigensolve::dist_lanczos_smallest(
-            &cluster,
-            &op,
-            &basis,
-            2,
-            &Default::default(),
-        );
+        let res = dist_thick_restart_lanczos(&cluster, &op, &basis, &budget_128(2, false));
         assert!(res.converged);
         energies.push(res.eigenvalues.clone());
     }
@@ -163,19 +168,7 @@ fn distributed_lanczos_gathers_nothing() {
     let cluster = Cluster::new(ClusterSpec::new(3, 2));
     let dist = enumerate_dist(&cluster, &sector, 3);
     cluster.reset_stats();
-    let res = exact_diag::dist::eigensolve::dist_lanczos_smallest(
-        &cluster,
-        &op,
-        &dist,
-        1,
-        &exact_diag::dist::eigensolve::DistLanczosOptions {
-            lanczos: exact_diag::eigen::LanczosOptions {
-                want_vectors: true,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    );
+    let res = dist_thick_restart_lanczos(&cluster, &op, &dist, &budget_128(1, true));
     let stats = cluster.stats_total();
     assert_eq!(stats.gets, 0, "in-place Lanczos must not issue RMA gets");
     assert_eq!(stats.get_bytes, 0, "in-place Lanczos gathered {} bytes", stats.get_bytes);
@@ -242,13 +235,7 @@ fn degenerate_layouts_enumerate_multiply_and_solve() {
             }
         }
         // In-place distributed Lanczos on the same layout.
-        let res = exact_diag::dist::eigensolve::dist_lanczos_smallest(
-            &cluster,
-            &op,
-            &dist,
-            1,
-            &Default::default(),
-        );
+        let res = dist_thick_restart_lanczos(&cluster, &op, &dist, &budget_128(1, false));
         assert!(res.converged, "locales={locales}");
         let e = res.eigenvalues[0];
         match reference_energy {
@@ -442,7 +429,6 @@ fn dist_thick_restart_checkpoint_resume_bit_identical() {
 /// because reduction order follows the parts.
 #[test]
 fn dist_engine_thick_restart_resume_and_layout_guard() {
-    use exact_diag::dist::{dist_thick_restart_lanczos, DistRestartOptions};
     use exact_diag::eigen::{CheckpointPolicy, RestartOptions};
 
     let n = 16usize;

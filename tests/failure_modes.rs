@@ -115,12 +115,12 @@ fn lanczos_guards() {
     let full_op = Operator::from_parts(op, std::sync::Arc::new(basis));
     // k = 0 rejected.
     let res = std::panic::catch_unwind(|| {
-        ls_eigen::lanczos_smallest(&full_op, 0, &ls_eigen::LanczosOptions::default())
+        ls_eigen::thick_restart_lanczos(&full_op, &ls_eigen::RestartOptions::new(0))
     });
     assert!(res.is_err());
     // k > dim rejected.
     let res = std::panic::catch_unwind(|| {
-        ls_eigen::lanczos_smallest(&full_op, 10_000, &ls_eigen::LanczosOptions::default())
+        ls_eigen::thick_restart_lanczos(&full_op, &ls_eigen::RestartOptions::new(10_000))
     });
     assert!(res.is_err());
 }

@@ -139,7 +139,8 @@ fn hubbard_eight_site_half_filling() {
 
     let (basis, op) = Operator::<f64>::from_expr(&expr, sector.clone()).unwrap();
     assert_eq!(basis.dim(), 4900);
-    let e = lanczos_smallest(&SerialOp(&op), 1, &LanczosOptions::default()).eigenvalues[0];
+    let opts = RestartOptions { extra: 127, ..RestartOptions::new(1) };
+    let e = thick_restart_lanczos(&SerialOp(&op), &opts).eigenvalues[0];
     assert!((e - e_pull).abs() < 1e-10, "Serial: {e} vs pull {e_pull}");
 
     for locales in [1usize, 2] {

@@ -1,5 +1,5 @@
 //! Pins the persistent pool's determinism guarantee end to end: batched
-//! matvec products, a full 30-step Lanczos ground-state run, and a
+//! matvec products, a whole-space Lanczos ground-state solve, and a
 //! checkpointed thick-restart solve are **bit-exact** across thread
 //! counts (`LS_NUM_THREADS=1` vs the default), on randomized symmetrized
 //! sectors (shared generators in `tests/common`).
@@ -45,19 +45,13 @@ fn check_sector(n: usize, sector: SectorSpec, threads: usize) {
         let mut pull = vec![0.0; dim];
         apply_batched_pull_pooled(&op, &basis, &x, &mut pull, &pool);
 
-        // Full 30-step Lanczos ground-state run through the public
+        // Whole-space Lanczos ground-state solve through the public
         // operator (fused matvec+dot epilogue, parallel BLAS-1, shared
         // scratch pool).
         let full = Operator::<f64>::from_parts(op.clone(), std::sync::Arc::new(basis));
-        let res = lanczos_smallest(
+        let res = thick_restart_lanczos(
             &full,
-            1,
-            &LanczosOptions {
-                max_iter: 30,
-                tol: 1e-14,
-                want_vectors: true,
-                ..Default::default()
-            },
+            &RestartOptions { extra: usize::MAX, want_vectors: true, ..RestartOptions::new(1) },
         );
         rayon::set_thread_limit(prev);
         (

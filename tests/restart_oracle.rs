@@ -28,6 +28,11 @@ fn dense_spectrum(op: &SymmetrizedOperator<f64>, basis: &SpinBasis) -> Vec<f64> 
     vals
 }
 
+/// Unbounded-budget options: one whole-space chain, never compressed.
+fn whole_space(k: usize, tol: f64) -> RestartOptions {
+    RestartOptions { extra: usize::MAX, tol, ..RestartOptions::new(k) }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -48,25 +53,14 @@ proptest! {
         let k = k_choice.min(dim / 4).max(1);
         let full_op = Operator::<f64>::from_parts(op, Arc::new(basis));
 
-        let full = lanczos_smallest(
-            &full_op,
-            k,
-            // max_retained pinned high: the reference must be genuinely
-            // full-memory, not the transparently routed thick restart.
-            &LanczosOptions {
-                max_iter: dim,
-                tol: 1e-11,
-                max_retained: usize::MAX,
-                ..Default::default()
-            },
-        );
+        let full = thick_restart_lanczos(&full_op, &whole_space(k, 1e-11));
         let opts = RestartOptions {
             extra: k + 4, // total budget 2k + 4 vectors — far below dim
             tol: 1e-11,
             want_vectors: true,
             ..RestartOptions::new(k)
         };
-        let thick = exact_diag::eigen::thick_restart_lanczos(&full_op, &opts);
+        let thick = thick_restart_lanczos(&full_op, &opts);
 
         prop_assert!(thick.converged, "thick restart did not converge: {:?}", thick.residuals);
         prop_assert!(full.converged, "full Lanczos did not converge");
@@ -131,17 +125,8 @@ proptest! {
         prop_assume!(dim >= 64);
         let k = 2usize;
         let full_op = Operator::<f64>::from_parts(op, Arc::new(basis));
-        let full = lanczos_smallest(
-            &full_op,
-            k,
-            &LanczosOptions {
-                max_iter: dim.min(200),
-                tol: 1e-11,
-                max_retained: usize::MAX, // genuine full-memory reference
-                ..Default::default()
-            },
-        );
-        let thick = exact_diag::eigen::thick_restart_lanczos(
+        let full = thick_restart_lanczos(&full_op, &whole_space(k, 1e-11));
+        let thick = thick_restart_lanczos(
             &full_op,
             &RestartOptions { extra: 10, tol: 1e-11, ..RestartOptions::new(k) },
         );
@@ -208,10 +193,10 @@ proptest! {
     }
 }
 
-/// The default 24-site-scale acceptance path, shrunk to CI size: the
-/// routed `lanczos_smallest` (default options, `max_iter` above the
-/// retained budget) must agree with explicit full-memory Lanczos on a
-/// U(1) sector whose Krylov run genuinely restarts.
+/// The default 24-site-scale acceptance path, shrunk to CI size: a
+/// 16-vector budget (far below the dimension, so the solve genuinely
+/// restarts) must agree with the unbounded-budget full-memory chain on a
+/// U(1) sector.
 #[test]
 fn routed_solver_reaches_full_lanczos_eigenvalues_on_u1_sector() {
     let n = 16usize;
@@ -221,21 +206,11 @@ fn routed_solver_reaches_full_lanczos_eigenvalues_on_u1_sector() {
     let full_op = Operator::<f64>::from_parts(op, Arc::new(basis));
 
     // Full-memory reference.
-    let full = lanczos_smallest(
+    let full = thick_restart_lanczos(&full_op, &whole_space(2, 1e-10));
+    // Small budget forces the restarted path.
+    let routed = thick_restart_lanczos(
         &full_op,
-        2,
-        &LanczosOptions {
-            max_iter: 200,
-            tol: 1e-10,
-            max_retained: usize::MAX,
-            ..Default::default()
-        },
-    );
-    // Small budget forces the routed thick-restart path.
-    let routed = lanczos_smallest(
-        &full_op,
-        2,
-        &LanczosOptions { max_iter: 200, tol: 1e-10, max_retained: 16, ..Default::default() },
+        &RestartOptions { extra: 14, tol: 1e-10, ..RestartOptions::new(2) },
     );
     assert!(full.converged && routed.converged);
     assert!(routed.peak_retained <= 16, "routed peak {}", routed.peak_retained);

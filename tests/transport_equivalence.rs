@@ -13,9 +13,7 @@
 //! then as the SPMD workers — and bit-compares the printed eigenvalues.
 
 use exact_diag::basis::{SectorSpec, SymmetrizedOperator};
-use exact_diag::dist::eigensolve::{
-    dist_lanczos_smallest, dist_thick_restart_lanczos, DistLanczosOptions, DistRestartOptions,
-};
+use exact_diag::dist::eigensolve::{dist_thick_restart_lanczos, DistRestartOptions};
 use exact_diag::dist::matvec::PcOptions;
 use exact_diag::dist::{enumerate_dist, matvec_pc};
 use exact_diag::prelude::*;
@@ -66,12 +64,14 @@ fn run_pipeline() -> (u64, Vec<u64>) {
     // In-place Lanczos + statistics invariants: matrix elements cross
     // locale boundaries (remote puts), full vectors never do (no gets).
     cluster.reset_stats();
-    let res = dist_lanczos_smallest(
+    let res = dist_thick_restart_lanczos(
         &cluster,
         &op,
         &basis,
-        1,
-        &DistLanczosOptions { pc, ..Default::default() },
+        &DistRestartOptions {
+            restart: RestartOptions { extra: 127, ..RestartOptions::new(1) },
+            pc,
+        },
     );
     assert!(res.converged);
     let stats = cluster.stats_total();
