@@ -37,7 +37,7 @@
 //! Writes go to `<path>.tmp` first and are renamed into place, so a kill
 //! mid-write never corrupts the previous checkpoint.
 
-use crate::vector::{KrylovOp, KrylovVec};
+use crate::vector::{get_lane, put_lane, KrylovOp, KrylovVec};
 use bytes::{Buf, BufMut};
 use ls_kernels::Scalar;
 use std::fmt;
@@ -259,15 +259,8 @@ fn encode_checkpoint<V: KrylovVec>(state: &CheckpointStateRef<'_, V>) -> Vec<u8>
     for v in state.basis {
         debug_assert_eq!(v.layout(), layout, "checkpointed vectors must share one layout");
         v.visit(&mut |x| {
-            let reals = x.to_reals();
-            for lane in reals.iter().take(lanes) {
-                if width == 4 {
-                    // f32 storage: `visit` yields the widened value, so
-                    // narrowing back is exact and round-trips bitwise.
-                    buf.put_u32_le((*lane as f32).to_bits());
-                } else {
-                    buf.put_f64_le(*lane);
-                }
+            for &lane in &x.to_reals()[..lanes] {
+                put_lane(&mut buf, lane, V::SCALAR_WIDTH);
             }
         });
     }
@@ -650,12 +643,8 @@ pub fn load_checkpoint<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
         v.fill_with(&mut |_i| {
             let mut reals = [0.0f64; 2];
             for lane in reals.iter_mut().take(lanes) {
-                *lane = if width == 4 {
-                    // f32 lanes widen exactly (also the widening resume).
-                    f32::from_bits(r.buf.get_u32_le()) as f64
-                } else {
-                    r.buf.get_f64_le()
-                };
+                // f32 lanes widen exactly (also the widening resume).
+                *lane = get_lane(&mut r.buf, width);
             }
             V::Scalar::from_reals(reals)
         });
@@ -679,6 +668,7 @@ pub fn load_checkpoint<V: KrylovVec, Op: KrylovOp<V> + ?Sized>(
 mod tests {
     use super::*;
     use crate::op::DenseOp;
+    use ls_kernels::Lane;
     use ls_runtime::DistVec;
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -728,16 +718,6 @@ mod tests {
         let dim = 16;
         save_checkpoint(&path, &sample_state(dim)).unwrap();
         // A distributed operator with the same total dimension.
-        struct DistZero(Vec<usize>);
-        impl KrylovOp<DistVec<f64>> for DistZero {
-            fn dim(&self) -> usize {
-                self.0.iter().sum()
-            }
-            fn new_vec(&self) -> DistVec<f64> {
-                DistVec::zeros(&self.0)
-            }
-            fn apply(&self, _x: &DistVec<f64>, _y: &mut DistVec<f64>) {}
-        }
         let op = DistZero(vec![8, 8]);
         match load_checkpoint::<DistVec<f64>, _>(&path, &op) {
             Err(CheckpointError::WrongStorageKind { found: 1, expected: 2 }) => {}
@@ -746,7 +726,22 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    fn sample_state_f32(dim: usize) -> CheckpointState<crate::precision::F32Vec> {
+    /// A zero operator over distributed storage with the given part
+    /// lengths (loading needs only its layout).
+    struct DistZero(Vec<usize>);
+
+    impl<L: Lane> KrylovOp<DistVec<L>> for DistZero {
+        fn dim(&self) -> usize {
+            self.0.iter().sum()
+        }
+        fn new_vec(&self) -> DistVec<L> {
+            DistVec::zeros(&self.0)
+        }
+        fn apply(&self, _x: &DistVec<L>, _y: &mut DistVec<L>) {}
+    }
+
+    /// [`sample_state`] with its basis narrowed to f32 and stored by `store`.
+    fn sample_state_f32<V>(dim: usize, store: impl Fn(Vec<f32>) -> V) -> CheckpointState<V> {
         let st = sample_state(dim);
         CheckpointState {
             k: st.k,
@@ -757,42 +752,76 @@ mod tests {
             retained: st.retained,
             diag: st.diag,
             border: st.border,
-            basis: st.basis.iter().map(|v| crate::precision::F32Vec::narrow_from(v)).collect(),
+            basis: st
+                .basis
+                .iter()
+                .map(|v| store(v.iter().map(|&x| x as f32).collect()))
+                .collect(),
         }
+    }
+
+    fn widened(v: &[f32]) -> Vec<f64> {
+        v.iter().map(|&x| x as f64).collect()
     }
 
     #[test]
     fn f32_checkpoint_roundtrips_bitwise_and_widens_to_f64() {
-        use crate::precision::{F32Vec, MixedOp};
+        use crate::precision::MixedOp;
         let path = tmp("f32_roundtrip");
         let dim = 61;
-        let st = sample_state_f32(dim);
+        let st = sample_state_f32(dim, |v| v);
         save_checkpoint(&path, &st).unwrap();
         let dense = DenseOp::new(dim, vec![0.0; dim * dim]);
 
         // Same-precision resume: bit-exact.
         let op32 = MixedOp::new(&dense);
-        let back = load_checkpoint::<F32Vec, _>(&path, &op32).unwrap();
+        let back = load_checkpoint::<Vec<f32>, _>(&path, &op32).unwrap();
         assert_eq!(back.basis, st.basis);
         assert_eq!(back.diag, st.diag);
 
         // Widening resume (f32 file, f64 solve): explicit and lossless.
         let wide = load_checkpoint::<Vec<f64>, _>(&path, &dense).unwrap();
         for (w, n) in wide.basis.iter().zip(&st.basis) {
-            assert_eq!(w, &n.widen(), "widened lanes must be the exact f32 values");
+            assert_eq!(w, &widened(n), "widened lanes must be the exact f32 values");
+        }
+
+        // A dense f32 file (kind 3) never loads into distributed storage.
+        let lens = vec![20usize, 0, 41];
+        let dist = DistZero(lens.clone());
+        match load_checkpoint::<DistVec<f64>, _>(&path, &dist) {
+            Err(CheckpointError::WrongStorageKind { found: 3, expected: 2 }) => {}
+            other => panic!("expected WrongStorageKind, got {other:?}"),
+        }
+
+        // The distributed f32 layout (kind 4): bitwise round trip, and a
+        // lossless widening into distributed f64 storage.
+        let split = |v: Vec<f32>| {
+            let tail = v[lens[0]..].to_vec();
+            DistVec::from_parts(vec![v[..lens[0]].to_vec(), Vec::new(), tail])
+        };
+        save_checkpoint(&path, &sample_state_f32(dim, split)).unwrap();
+        let back = load_checkpoint::<DistVec<f32>, _>(&path, &dist).unwrap();
+        for (b, n) in back.basis.iter().zip(&st.basis) {
+            assert_eq!(b.lens(), lens);
+            assert_eq!(&b.concat(), n);
+        }
+        let wide = load_checkpoint::<DistVec<f64>, _>(&path, &dist).unwrap();
+        for (w, n) in wide.basis.iter().zip(&st.basis) {
+            assert_eq!(w.lens(), lens);
+            assert_eq!(w.concat(), widened(n), "widened lanes must be the exact f32 values");
         }
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn narrowing_resume_is_a_typed_precision_error() {
-        use crate::precision::{F32Vec, MixedOp};
+        use crate::precision::MixedOp;
         let path = tmp("narrowing");
         let dim = 32;
         save_checkpoint(&path, &sample_state(dim)).unwrap(); // f64 file
         let dense = DenseOp::new(dim, vec![0.0; dim * dim]);
         let op32 = MixedOp::new(&dense);
-        match load_checkpoint::<F32Vec, _>(&path, &op32) {
+        match load_checkpoint::<Vec<f32>, _>(&path, &op32) {
             Err(CheckpointError::PrecisionMismatch { found: 8, expected: 4 }) => {}
             other => panic!("expected PrecisionMismatch, got {other:?}"),
         }

@@ -10,17 +10,19 @@
 //! This crate provides:
 //! * [`vector`] — the Krylov storage abstraction: [`KrylovVec`] (fused
 //!   deterministic BLAS-1 over any vector representation, implemented for
-//!   `Vec<S>` and the locale-partitioned `ls_runtime::DistVec<S>`) and
-//!   [`KrylovOp`] (the matrix-free operator over that storage, with a
-//!   blanket implementation turning every [`LinearOp`] into a
+//!   `Vec<L>` and the locale-partitioned `ls_runtime::DistVec<L>` for
+//!   every storage [`ls_kernels::Lane`] `L`) and [`KrylovOp`] (the
+//!   matrix-free operator over that storage, with a blanket
+//!   implementation turning every [`LinearOp`] into a
 //!   `KrylovOp<Vec<S>>`);
 //! * [`LinearOp`] — the slice-based matrix-free operator interface,
 //!   including the fused matvec+dot epilogue hook
 //!   ([`LinearOp::apply_dot`]);
 //! * [`op`] — the BLAS-1 layer: serial helpers plus the **parallel
 //!   deterministic kernels** (`par_dot`, `par_norm_sqr`, blocked
-//!   multi-vector `par_multi_dot`/`par_multi_axpy`, fused axpy+norm)
-//!   whose reductions are bit-identical at any `LS_NUM_THREADS`;
+//!   multi-vector `par_multi_dot`/`par_multi_axpy`, fused axpy+norm),
+//!   generic over the storage lane, whose reductions are bit-identical
+//!   at any `LS_NUM_THREADS`;
 //! * [`restart::thick_restart_lanczos_in`] — the eigensolver: Lanczos
 //!   with full (blocked CGS2) reorthogonalization and Ritz-residual
 //!   convergence control, written once against the vector abstraction
@@ -73,10 +75,7 @@ pub use expm::{
 pub use health::{HealthMonitor, SolverHealthError};
 pub use lanczos::{LanczosResult, LanczosResultIn};
 pub use op::{DenseOp, LinearOp};
-pub use precision::{
-    eigensolve_precision, refine_in_f64, thick_restart_lanczos_f32, DistF32Vec, F32Vec,
-    MixedOp, Precision,
-};
+pub use precision::{eigensolve_precision, refine_in_f64, MixedOp, Precision};
 pub use restart::{
     thick_restart_lanczos, thick_restart_lanczos_in, CheckpointPolicy, RestartOptions,
 };

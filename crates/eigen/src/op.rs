@@ -3,8 +3,8 @@
 //!
 //! Two tiers of vector kernels live here:
 //!
-//! * the original serial helpers ([`dot`], [`norm`], [`axpy`], [`scale`])
-//!   — linear accumulation order, used by the dense references and
+//! * the serial helpers ([`dot`], [`norm`], [`axpy`], [`scale`]) —
+//!   linear accumulation order, used by the dense references and
 //!   anywhere a plain loop is the right tool;
 //! * the **parallel deterministic** kernels ([`par_dot`],
 //!   [`par_norm_sqr`], [`par_axpy`], [`par_scale`], and the fused
@@ -13,8 +13,14 @@
 //!   ([`REDUCE_BLOCK`], independent of the thread count) combined in a
 //!   fixed pairwise tree ([`pairwise_sum`]) — the result is bit-identical
 //!   for `LS_NUM_THREADS = 1, 2, …, N`, only the wall time changes.
+//!
+//! The parallel kernels are generic over the storage [`Lane`]: the lane
+//! supplies the per-block arithmetic (for a [`Scalar`], the serial
+//! helpers themselves; for `f32`, the widening `ls_kernels::simd`
+//! kernels) and returns partials in its accumulation type, so one copy
+//! of the partition and reduction tree serves every storage width.
 
-use ls_kernels::Scalar;
+use ls_kernels::{Lane, Scalar};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -101,18 +107,13 @@ impl<S: Scalar> LinearOp<S> for DenseOp<S> {
 /// Hermitian inner product `⟨a, b⟩ = Σ conj(a_i) b_i`.
 #[inline]
 pub fn dot<S: Scalar>(a: &[S], b: &[S]) -> S {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = S::ZERO;
-    for (x, y) in a.iter().zip(b) {
-        acc += x.conj() * *y;
-    }
-    acc
+    S::dot(a, b)
 }
 
 /// Squared 2-norm (always real).
 #[inline]
 pub fn norm_sqr<S: Scalar>(a: &[S]) -> f64 {
-    a.iter().map(|x| x.abs_sqr()).sum()
+    S::norm_sqr(a)
 }
 
 /// 2-norm.
@@ -124,17 +125,13 @@ pub fn norm<S: Scalar>(a: &[S]) -> f64 {
 /// `y += alpha * x`.
 #[inline]
 pub fn axpy<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * *xi;
-    }
+    S::axpy(alpha, x, y);
 }
 
 /// `x *= alpha` (real scale).
 #[inline]
 pub fn scale<S: Scalar>(x: &mut [S], alpha: f64) {
-    for xi in x.iter_mut() {
-        *xi = xi.scale_re(alpha);
-    }
+    S::scale(x, alpha);
 }
 
 // ---------------------------------------------------------------------------
@@ -152,9 +149,8 @@ pub const REDUCE_BLOCK: usize = 8192;
 /// of dispatching to the pool — a wake-up costs more than a few blocks
 /// of streaming arithmetic. The partial layout and combination tree are
 /// the same either way, so the result is bit-identical to the parallel
-/// path (the dispatch decision is invisible in the output). Public so
-/// the f32-storage kernels of [`crate::precision`] share the threshold.
-pub const MIN_PAR_BLOCKS: usize = 8;
+/// path (the dispatch decision is invisible in the output).
+const MIN_PAR_BLOCKS: usize = 8;
 
 /// Sums `parts` in a fixed pairwise (balanced binary) tree. The tree
 /// shape depends only on `parts.len()`, making the reduction
@@ -197,81 +193,81 @@ pub fn store_partial<S: Scalar>(lanes: &[AtomicU64], slot: usize, value: S) {
 }
 
 /// Parallel Hermitian inner product, bit-deterministic across thread
-/// counts: per-block partials (linear within a [`REDUCE_BLOCK`]) combined
-/// with [`pairwise_sum`].
-pub fn par_dot<S: Scalar>(a: &[S], b: &[S]) -> S {
+/// counts: per-block partials ([`Lane::dot`] within a [`REDUCE_BLOCK`])
+/// combined with [`pairwise_sum`].
+pub fn par_dot<L: Lane>(a: &[L], b: &[L]) -> L::Acc {
     debug_assert_eq!(a.len(), b.len());
     let n = a.len();
     let n_blocks = n.div_ceil(REDUCE_BLOCK);
     if n_blocks <= 1 {
-        return dot(a, b);
+        return L::dot(a, b);
     }
-    let mut partials = vec![S::ZERO; n_blocks];
+    let mut partials = vec![L::Acc::ZERO; n_blocks];
     if n_blocks < MIN_PAR_BLOCKS {
         for (bi, p) in partials.iter_mut().enumerate() {
             let lo = bi * REDUCE_BLOCK;
             let hi = (lo + REDUCE_BLOCK).min(n);
-            *p = dot(&a[lo..hi], &b[lo..hi]);
+            *p = L::dot(&a[lo..hi], &b[lo..hi]);
         }
     } else {
         let lanes = atomic_lanes(&mut partials);
         (0..n_blocks).into_par_iter().for_each(|bi| {
             let lo = bi * REDUCE_BLOCK;
             let hi = (lo + REDUCE_BLOCK).min(n);
-            store_partial(lanes, bi, dot(&a[lo..hi], &b[lo..hi]));
+            store_partial(lanes, bi, L::dot(&a[lo..hi], &b[lo..hi]));
         });
     }
     pairwise_sum(&partials)
 }
 
 /// Parallel squared 2-norm, bit-deterministic across thread counts.
-pub fn par_norm_sqr<S: Scalar>(a: &[S]) -> f64 {
+pub fn par_norm_sqr<L: Lane>(a: &[L]) -> f64 {
     let n = a.len();
     let n_blocks = n.div_ceil(REDUCE_BLOCK);
     if n_blocks <= 1 {
-        return norm_sqr(a);
+        return L::norm_sqr(a);
     }
     let mut partials = vec![0.0f64; n_blocks];
     if n_blocks < MIN_PAR_BLOCKS {
         for (bi, p) in partials.iter_mut().enumerate() {
             let lo = bi * REDUCE_BLOCK;
             let hi = (lo + REDUCE_BLOCK).min(n);
-            *p = norm_sqr(&a[lo..hi]);
+            *p = L::norm_sqr(&a[lo..hi]);
         }
     } else {
         let lanes = atomic_lanes(&mut partials);
         (0..n_blocks).into_par_iter().for_each(|bi| {
             let lo = bi * REDUCE_BLOCK;
             let hi = (lo + REDUCE_BLOCK).min(n);
-            store_partial(lanes, bi, norm_sqr(&a[lo..hi]));
+            store_partial(lanes, bi, L::norm_sqr(&a[lo..hi]));
         });
     }
     pairwise_sum(&partials)
 }
 
 /// Parallel 2-norm (deterministic, see [`par_norm_sqr`]).
-pub fn par_norm<S: Scalar>(a: &[S]) -> f64 {
+pub fn par_norm<L: Lane>(a: &[L]) -> f64 {
     par_norm_sqr(a).sqrt()
 }
 
 /// Parallel `y += alpha * x`. Element-wise, so trivially deterministic.
-pub fn par_axpy<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
+pub fn par_axpy<L: Lane>(alpha: L::Acc, x: &[L], y: &mut [L]) {
     debug_assert_eq!(x.len(), y.len());
     if y.len() < MIN_PAR_BLOCKS * REDUCE_BLOCK {
-        return axpy(alpha, x, y);
+        return L::axpy(alpha, x, y);
     }
     y.par_chunks_mut(REDUCE_BLOCK).enumerate().for_each(|(bi, yb)| {
         let base = bi * REDUCE_BLOCK;
-        axpy(alpha, &x[base..base + yb.len()], yb);
+        L::axpy(alpha, &x[base..base + yb.len()], yb);
     });
 }
 
 /// Parallel `x *= alpha` (real scale).
-pub fn par_scale<S: Scalar>(x: &mut [S], alpha: f64) {
+pub fn par_scale<L: Lane>(x: &mut [L], alpha: f64) {
     if x.len() < MIN_PAR_BLOCKS * REDUCE_BLOCK {
-        return scale(x, alpha);
+        return L::scale(x, alpha);
     }
-    x.par_chunks_mut(REDUCE_BLOCK).for_each(|xb| scale(xb, alpha));
+    x.par_chunks_mut(REDUCE_BLOCK).for_each(|xb| L::scale(xb, alpha));
 }
 
 /// Blocked multi-vector inner products: `out[b] = ⟨vs[b], w⟩` for every
@@ -282,7 +278,7 @@ pub fn par_scale<S: Scalar>(x: &mut [S], alpha: f64) {
 /// cache-hot across all `m` dot products. Deterministic: per-vector
 /// partials over the fixed [`REDUCE_BLOCK`] partition, combined with
 /// [`pairwise_sum`].
-pub fn par_multi_dot<S: Scalar, V: AsRef<[S]> + Sync>(vs: &[V], w: &[S]) -> Vec<S> {
+pub fn par_multi_dot<L: Lane, V: AsRef<[L]> + Sync>(vs: &[V], w: &[L]) -> Vec<L::Acc> {
     let m = vs.len();
     if m == 0 {
         return Vec::new();
@@ -290,12 +286,12 @@ pub fn par_multi_dot<S: Scalar, V: AsRef<[S]> + Sync>(vs: &[V], w: &[S]) -> Vec<
     let n = w.len();
     let n_blocks = n.div_ceil(REDUCE_BLOCK).max(1);
     // partials[b * n_blocks + k] = ⟨vs[b], w⟩ restricted to block k.
-    let mut partials = vec![S::ZERO; m * n_blocks];
-    let fill = |k: usize, partials_k: &mut dyn FnMut(usize, S)| {
+    let mut partials = vec![L::Acc::ZERO; m * n_blocks];
+    let fill = |k: usize, partials_k: &mut dyn FnMut(usize, L::Acc)| {
         let lo = k * REDUCE_BLOCK;
         let hi = (lo + REDUCE_BLOCK).min(n);
         for (b, v) in vs.iter().enumerate() {
-            partials_k(b, dot(&v.as_ref()[lo..hi], &w[lo..hi]));
+            partials_k(b, L::dot(&v.as_ref()[lo..hi], &w[lo..hi]));
         }
     };
     if n_blocks < MIN_PAR_BLOCKS {
@@ -315,27 +311,22 @@ pub fn par_multi_dot<S: Scalar, V: AsRef<[S]> + Sync>(vs: &[V], w: &[S]) -> Vec<
 /// `w` exactly once (the update half of blocked reorthogonalization and
 /// of Ritz-vector assembly). Per element the additions run in ascending
 /// `b` order — independent of how chunks are claimed, so deterministic.
-pub fn par_multi_axpy<S: Scalar, V: AsRef<[S]> + Sync>(coeffs: &[S], vs: &[V], w: &mut [S]) {
+pub fn par_multi_axpy<L: Lane, V: AsRef<[L]> + Sync>(coeffs: &[L::Acc], vs: &[V], w: &mut [L]) {
     debug_assert_eq!(coeffs.len(), vs.len());
     if vs.is_empty() {
         return;
     }
-    let update = |base: usize, wb: &mut [S]| {
-        for (b, v) in vs.iter().enumerate() {
-            axpy(coeffs[b], &v.as_ref()[base..base + wb.len()], wb);
-        }
-    };
     if w.len() < MIN_PAR_BLOCKS * REDUCE_BLOCK {
         let len = w.len();
         let mut lo = 0usize;
         while lo < len {
             let hi = (lo + REDUCE_BLOCK).min(len);
-            update(lo, &mut w[lo..hi]);
+            L::multi_axpy(coeffs, vs, lo, &mut w[lo..hi]);
             lo = hi;
         }
     } else {
         w.par_chunks_mut(REDUCE_BLOCK).enumerate().for_each(|(k, wb)| {
-            update(k * REDUCE_BLOCK, wb);
+            L::multi_axpy(coeffs, vs, k * REDUCE_BLOCK, wb);
         });
     }
 }
@@ -343,19 +334,17 @@ pub fn par_multi_axpy<S: Scalar, V: AsRef<[S]> + Sync>(coeffs: &[S], vs: &[V], w
 /// [`par_multi_axpy`] fused with `‖w‖²` of the result — the final
 /// reorthogonalization pass and the β norm in one sweep over `w`.
 /// Bit-identical to [`par_multi_axpy`] followed by [`par_norm_sqr`].
-pub fn par_multi_axpy_norm_sqr<S: Scalar, V: AsRef<[S]> + Sync>(
-    coeffs: &[S],
+pub fn par_multi_axpy_norm_sqr<L: Lane, V: AsRef<[L]> + Sync>(
+    coeffs: &[L::Acc],
     vs: &[V],
-    w: &mut [S],
+    w: &mut [L],
 ) -> f64 {
     debug_assert_eq!(coeffs.len(), vs.len());
     let n = w.len();
     let n_blocks = n.div_ceil(REDUCE_BLOCK).max(1);
-    let update = |base: usize, wb: &mut [S]| -> f64 {
-        for (b, v) in vs.iter().enumerate() {
-            axpy(coeffs[b], &v.as_ref()[base..base + wb.len()], wb);
-        }
-        norm_sqr(wb)
+    let update = |base: usize, wb: &mut [L]| -> f64 {
+        L::multi_axpy(coeffs, vs, base, wb);
+        L::norm_sqr(wb)
     };
     let mut partials = vec![0.0f64; n_blocks];
     if n_blocks < MIN_PAR_BLOCKS {
@@ -378,29 +367,25 @@ pub fn par_multi_axpy_norm_sqr<S: Scalar, V: AsRef<[S]> + Sync>(
 /// reorthogonalization update and the β that follows it), saving one full
 /// read pass over the Krylov vector. Bit-identical to [`par_axpy`]
 /// followed by [`par_norm_sqr`], at any thread count.
-pub fn par_axpy_norm_sqr<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) -> f64 {
+pub fn par_axpy_norm_sqr<L: Lane>(alpha: L::Acc, x: &[L], y: &mut [L]) -> f64 {
     debug_assert_eq!(x.len(), y.len());
     let n = y.len();
     let n_blocks = n.div_ceil(REDUCE_BLOCK);
     if n_blocks <= 1 {
-        axpy(alpha, x, y);
-        return norm_sqr(y);
+        return L::axpy_norm_sqr(alpha, x, y);
     }
     let mut partials = vec![0.0f64; n_blocks];
     if n_blocks < MIN_PAR_BLOCKS {
         for (bi, p) in partials.iter_mut().enumerate() {
             let lo = bi * REDUCE_BLOCK;
             let hi = (lo + REDUCE_BLOCK).min(n);
-            axpy(alpha, &x[lo..hi], &mut y[lo..hi]);
-            *p = norm_sqr(&y[lo..hi]);
+            *p = L::axpy_norm_sqr(alpha, &x[lo..hi], &mut y[lo..hi]);
         }
     } else {
         let lanes = atomic_lanes(&mut partials);
         y.par_chunks_mut(REDUCE_BLOCK).enumerate().for_each(|(bi, yb)| {
             let base = bi * REDUCE_BLOCK;
-            let xb = &x[base..base + yb.len()];
-            axpy(alpha, xb, yb);
-            store_partial(lanes, bi, norm_sqr(yb));
+            store_partial(lanes, bi, L::axpy_norm_sqr(alpha, &x[base..base + yb.len()], yb));
         });
     }
     pairwise_sum(&partials)

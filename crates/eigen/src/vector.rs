@@ -7,16 +7,23 @@
 //! primitives — fused, deterministic, in place — so the recurrences are
 //! written once and run on any storage:
 //!
-//! * **`Vec<S>`** — shared-memory vectors on the parallel deterministic
+//! * **`Vec<L>`** — shared-memory vectors on the parallel deterministic
 //!   kernels of [`crate::op`] (per-block partials over the fixed
 //!   [`crate::op::REDUCE_BLOCK`] partition, pairwise reduction trees);
-//! * **`ls_runtime::DistVec<S>`** — locale-partitioned vectors. Each
+//! * **`ls_runtime::DistVec<L>`** — locale-partitioned vectors. Each
 //!   primitive runs the same shared-memory kernel *per part* and reduces
 //!   the per-locale partials in locale order (the `allreduce` of a real
 //!   cluster). Nothing is ever gathered: the Krylov recurrence operates
 //!   on the distributed parts in place, which is the paper's central
 //!   claim — Krylov state stays distributed, only matrix elements cross
 //!   locale boundaries.
+//!
+//! Both are generic over the storage [`Lane`] `L`, which fixes the
+//! arithmetic type (`KrylovVec::Scalar = L::Acc`), the stored width and
+//! the per-block kernels: `f64` and `Complex64` store what they compute
+//! on, `f32` stores 4-byte lanes and computes in f64 (the
+//! reduced-precision modes of [`crate::precision`]). The storage kind
+//! and scalar width that checkpoints record follow from the lane.
 //!
 //! [`KrylovOp`] is the operator side: the matrix-vector product over a
 //! given vector type, plus the allocation hook the solvers use for their
@@ -36,7 +43,7 @@
 //! tolerance, not bitwise, exactly like a real machine.
 
 use crate::op::{self, LinearOp};
-use ls_kernels::Scalar;
+use ls_kernels::{Lane, Scalar};
 use ls_runtime::transport::{self, MpRuntime};
 use ls_runtime::DistVec;
 
@@ -59,6 +66,29 @@ fn allreduce_scalars<S: Scalar>(mp: &MpRuntime, partials: &[S]) -> Vec<S> {
         .collect()
 }
 
+/// Appends one real lane in the byte encoding of `width`-byte storage
+/// (checkpoint payloads and multiprocess wire frames): little-endian
+/// f64, or the f32 the lane was widened from (exact, so it round-trips
+/// bitwise).
+pub(crate) fn put_lane(buf: &mut Vec<u8>, lane: f64, width: u32) {
+    use bytes::BufMut;
+    if width == 4 {
+        buf.put_u32_le((lane as f32).to_bits());
+    } else {
+        buf.put_f64_le(lane);
+    }
+}
+
+/// Reads one real lane written by [`put_lane`], widened to f64.
+pub(crate) fn get_lane(r: &mut &[u8], width: u32) -> f64 {
+    use bytes::Buf;
+    if width == 4 {
+        f32::from_bits(r.get_u32_le()) as f64
+    } else {
+        r.get_f64_le()
+    }
+}
+
 /// A vector a Krylov solver can iterate on: fused, deterministic BLAS-1
 /// plus an element-order fill hook.
 ///
@@ -71,17 +101,21 @@ pub trait KrylovVec: Clone {
 
     /// Storage-kind tag written into checkpoint files so a resume cannot
     /// silently reinterpret one storage's bytes as another's
-    /// (see [`crate::checkpoint`]). Dense `Vec<S>` is 1, distributed
-    /// `DistVec<S>` is 2; the f32 storages of [`crate::precision`] are
-    /// 3 (dense) and 4 (distributed).
+    /// (see [`crate::checkpoint`]). Derived from the vector type and its
+    /// lane width:
+    ///
+    /// * 1 — dense `Vec<L>`, 8-byte lanes (`f64`, `Complex64`);
+    /// * 2 — distributed `DistVec<L>`, 8-byte lanes;
+    /// * 3 — dense `Vec<f32>`;
+    /// * 4 — distributed `DistVec<f32>`.
     const STORAGE_KIND: u32;
 
-    /// Bytes per stored scalar lane: 8 for f64-backed storage (the
-    /// default), 4 for the f32 storages of the mixed-precision mode.
+    /// Bytes per stored scalar lane ([`Lane::WIDTH`]): 8 for f64-backed
+    /// storage, 4 for the f32 storage of the reduced-precision modes.
     /// Checkpoints (format v2) record it so a resume can widen an f32
     /// checkpoint into an f64 solve explicitly — and reject the lossy
     /// direction with a typed error instead of truncating lanes.
-    const SCALAR_WIDTH: u32 = 8;
+    const SCALAR_WIDTH: u32;
 
     /// Global number of elements (summed over parts for distributed
     /// storage).
@@ -139,32 +173,34 @@ pub trait KrylovVec: Clone {
     fn multi_axpy_norm_sqr(coeffs: &[Self::Scalar], vs: &[Self], w: &mut Self) -> f64;
 }
 
-impl<S: Scalar> KrylovVec for Vec<S> {
-    type Scalar = S;
+/// Dense storage on the parallel deterministic kernels of [`crate::op`].
+impl<L: Lane> KrylovVec for Vec<L> {
+    type Scalar = L::Acc;
 
-    const STORAGE_KIND: u32 = 1;
+    const STORAGE_KIND: u32 = if L::WIDTH == 4 { 3 } else { 1 };
+    const SCALAR_WIDTH: u32 = L::WIDTH;
 
     fn len(&self) -> usize {
-        <[S]>::len(self)
+        <[L]>::len(self)
     }
 
     fn layout(&self) -> Vec<usize> {
-        vec![<[S]>::len(self)]
+        vec![<[L]>::len(self)]
     }
 
-    fn visit(&self, f: &mut dyn FnMut(S)) {
+    fn visit(&self, f: &mut dyn FnMut(L::Acc)) {
         for &x in self.iter() {
-            f(x);
+            f(x.widen());
         }
     }
 
-    fn fill_with(&mut self, f: &mut dyn FnMut(usize) -> S) {
+    fn fill_with(&mut self, f: &mut dyn FnMut(usize) -> L::Acc) {
         for (i, x) in self.iter_mut().enumerate() {
-            *x = f(i);
+            *x = L::narrow(f(i));
         }
     }
 
-    fn dot(&self, other: &Self) -> S {
+    fn dot(&self, other: &Self) -> L::Acc {
         op::par_dot(self, other)
     }
 
@@ -172,7 +208,7 @@ impl<S: Scalar> KrylovVec for Vec<S> {
         op::par_norm_sqr(self)
     }
 
-    fn axpy(&mut self, alpha: S, x: &Self) {
+    fn axpy(&mut self, alpha: L::Acc, x: &Self) {
         op::par_axpy(alpha, x, self);
     }
 
@@ -180,19 +216,19 @@ impl<S: Scalar> KrylovVec for Vec<S> {
         op::par_scale(self, alpha);
     }
 
-    fn axpy_norm_sqr(&mut self, alpha: S, x: &Self) -> f64 {
+    fn axpy_norm_sqr(&mut self, alpha: L::Acc, x: &Self) -> f64 {
         op::par_axpy_norm_sqr(alpha, x, self)
     }
 
-    fn multi_dot(vs: &[Self], w: &Self) -> Vec<S> {
+    fn multi_dot(vs: &[Self], w: &Self) -> Vec<L::Acc> {
         op::par_multi_dot(vs, w)
     }
 
-    fn multi_axpy(coeffs: &[S], vs: &[Self], w: &mut Self) {
+    fn multi_axpy(coeffs: &[L::Acc], vs: &[Self], w: &mut Self) {
         op::par_multi_axpy(coeffs, vs, w);
     }
 
-    fn multi_axpy_norm_sqr(coeffs: &[S], vs: &[Self], w: &mut Self) -> f64 {
+    fn multi_axpy_norm_sqr(coeffs: &[L::Acc], vs: &[Self], w: &mut Self) -> f64 {
         op::par_multi_axpy_norm_sqr(coeffs, vs, w)
     }
 }
@@ -207,10 +243,11 @@ impl<S: Scalar> KrylovVec for Vec<S> {
 /// replica's remote parts are left untouched by the update primitives;
 /// only [`KrylovVec::visit`] re-assembles the global vector (allgather in
 /// rank order), which is what checkpointing consumes.
-impl<S: Scalar> KrylovVec for DistVec<S> {
-    type Scalar = S;
+impl<L: Lane> KrylovVec for DistVec<L> {
+    type Scalar = L::Acc;
 
-    const STORAGE_KIND: u32 = 2;
+    const STORAGE_KIND: u32 = if L::WIDTH == 4 { 4 } else { 2 };
+    const SCALAR_WIDTH: u32 = L::WIDTH;
 
     fn len(&self) -> usize {
         self.total_len()
@@ -220,55 +257,55 @@ impl<S: Scalar> KrylovVec for DistVec<S> {
         self.lens()
     }
 
-    fn visit(&self, f: &mut dyn FnMut(S)) {
+    fn visit(&self, f: &mut dyn FnMut(L::Acc)) {
         if let Some(mp) = transport::active() {
             // Allgather this rank's authoritative part and emit all parts
             // in rank (= global) order: every rank streams the identical
             // canonical vector, so checkpoints written from it agree.
-            use bytes::{Buf, BufMut};
+            let lanes = <L::Acc as Scalar>::N_REALS;
             let own = self.part(mp.rank());
-            let mut payload = Vec::with_capacity(own.len() * 8 * S::N_REALS);
-            for x in own {
-                for &lane in &x.to_reals()[..S::N_REALS] {
-                    payload.put_f64_le(lane);
+            let mut payload = Vec::with_capacity(own.len() * lanes * L::WIDTH as usize);
+            for &x in own {
+                for &lane in &x.widen().to_reals()[..lanes] {
+                    put_lane(&mut payload, lane, L::WIDTH);
                 }
             }
             for contribution in mp.allgather(&payload) {
                 let mut r: &[u8] = &contribution;
-                while r.remaining() > 0 {
-                    let mut lanes = [0.0f64; 2];
-                    for slot in lanes.iter_mut().take(S::N_REALS) {
-                        *slot = r.get_f64_le();
+                while !r.is_empty() {
+                    let mut reals = [0.0f64; 2];
+                    for slot in reals.iter_mut().take(lanes) {
+                        *slot = get_lane(&mut r, L::WIDTH);
                     }
-                    f(S::from_reals(lanes));
+                    f(L::Acc::from_reals(reals));
                 }
             }
             return;
         }
-        self.for_each(|&x| f(x));
+        self.for_each(|&x| f(x.widen()));
     }
 
-    fn fill_with(&mut self, f: &mut dyn FnMut(usize) -> S) {
+    fn fill_with(&mut self, f: &mut dyn FnMut(usize) -> L::Acc) {
         // Multiprocess included: every rank fills the full replica — the
         // stream is deterministic, so all ranks agree and each rank's own
         // part comes out authoritative.
         let mut i = 0usize;
         for part in self.parts_mut() {
             for x in part.iter_mut() {
-                *x = f(i);
+                *x = L::narrow(f(i));
                 i += 1;
             }
         }
     }
 
-    fn dot(&self, other: &Self) -> S {
+    fn dot(&self, other: &Self) -> L::Acc {
         debug_assert_eq!(self.lens(), other.lens(), "distributed dot of mismatched layouts");
         if let Some(mp) = transport::active() {
             let me = mp.rank();
             let partial = op::par_dot(self.part(me), other.part(me));
             return allreduce_scalars(mp, &[partial])[0];
         }
-        let mut acc = S::ZERO;
+        let mut acc = L::Acc::ZERO;
         for (pa, pb) in self.parts().iter().zip(other.parts()) {
             acc += op::par_dot(pa, pb);
         }
@@ -283,7 +320,7 @@ impl<S: Scalar> KrylovVec for DistVec<S> {
         self.parts().iter().map(|p| op::par_norm_sqr(p)).sum()
     }
 
-    fn axpy(&mut self, alpha: S, x: &Self) {
+    fn axpy(&mut self, alpha: L::Acc, x: &Self) {
         debug_assert_eq!(self.lens(), x.lens(), "distributed axpy of mismatched layouts");
         if let Some(mp) = transport::active() {
             let me = mp.rank();
@@ -305,7 +342,7 @@ impl<S: Scalar> KrylovVec for DistVec<S> {
         }
     }
 
-    fn axpy_norm_sqr(&mut self, alpha: S, x: &Self) -> f64 {
+    fn axpy_norm_sqr(&mut self, alpha: L::Acc, x: &Self) -> f64 {
         debug_assert_eq!(self.lens(), x.lens(), "distributed axpy of mismatched layouts");
         if let Some(mp) = transport::active() {
             let me = mp.rank();
@@ -319,16 +356,16 @@ impl<S: Scalar> KrylovVec for DistVec<S> {
         acc
     }
 
-    fn multi_dot(vs: &[Self], w: &Self) -> Vec<S> {
+    fn multi_dot(vs: &[Self], w: &Self) -> Vec<L::Acc> {
         if let Some(mp) = transport::active() {
             let me = mp.rank();
-            let parts: Vec<&[S]> = vs.iter().map(|v| v.part(me)).collect();
+            let parts: Vec<&[L]> = vs.iter().map(|v| v.part(me)).collect();
             let partials = op::par_multi_dot(&parts, w.part(me));
             return allreduce_scalars(mp, &partials);
         }
-        let mut out = vec![S::ZERO; vs.len()];
+        let mut out = vec![L::Acc::ZERO; vs.len()];
         for (l, wp) in w.parts().iter().enumerate() {
-            let parts: Vec<&[S]> = vs.iter().map(|v| v.part(l)).collect();
+            let parts: Vec<&[L]> = vs.iter().map(|v| v.part(l)).collect();
             for (acc, partial) in out.iter_mut().zip(op::par_multi_dot(&parts, wp)) {
                 *acc += partial;
             }
@@ -336,31 +373,31 @@ impl<S: Scalar> KrylovVec for DistVec<S> {
         out
     }
 
-    fn multi_axpy(coeffs: &[S], vs: &[Self], w: &mut Self) {
+    fn multi_axpy(coeffs: &[L::Acc], vs: &[Self], w: &mut Self) {
         debug_assert_eq!(coeffs.len(), vs.len());
         if let Some(mp) = transport::active() {
             let me = mp.rank();
-            let parts: Vec<&[S]> = vs.iter().map(|v| v.part(me)).collect();
+            let parts: Vec<&[L]> = vs.iter().map(|v| v.part(me)).collect();
             op::par_multi_axpy(coeffs, &parts, w.part_mut(me));
             return;
         }
         for (l, wp) in w.parts_mut().iter_mut().enumerate() {
-            let parts: Vec<&[S]> = vs.iter().map(|v| v.part(l)).collect();
+            let parts: Vec<&[L]> = vs.iter().map(|v| v.part(l)).collect();
             op::par_multi_axpy(coeffs, &parts, wp);
         }
     }
 
-    fn multi_axpy_norm_sqr(coeffs: &[S], vs: &[Self], w: &mut Self) -> f64 {
+    fn multi_axpy_norm_sqr(coeffs: &[L::Acc], vs: &[Self], w: &mut Self) -> f64 {
         debug_assert_eq!(coeffs.len(), vs.len());
         if let Some(mp) = transport::active() {
             let me = mp.rank();
-            let parts: Vec<&[S]> = vs.iter().map(|v| v.part(me)).collect();
+            let parts: Vec<&[L]> = vs.iter().map(|v| v.part(me)).collect();
             let partial = op::par_multi_axpy_norm_sqr(coeffs, &parts, w.part_mut(me));
             return mp.allreduce_lanes(&[partial])[0];
         }
         let mut acc = 0.0f64;
         for (l, wp) in w.parts_mut().iter_mut().enumerate() {
-            let parts: Vec<&[S]> = vs.iter().map(|v| v.part(l)).collect();
+            let parts: Vec<&[L]> = vs.iter().map(|v| v.part(l)).collect();
             acc += op::par_multi_axpy_norm_sqr(coeffs, &parts, wp);
         }
         acc
@@ -440,80 +477,107 @@ mod tests {
     use super::*;
     use ls_kernels::Complex64;
 
-    fn ramp(n: usize, scale: f64) -> Vec<f64> {
-        (0..n).map(|i| ((i % 89) as f64 - 44.0) * scale).collect()
+    fn ramp<L: Lane<Acc = f64>>(n: usize, scale: f64) -> Vec<L> {
+        (0..n).map(|i| L::narrow(((i % 89) as f64 - 44.0) * scale)).collect()
+    }
+
+    /// The index range of each part, in locale order.
+    fn ranges(lens: &[usize]) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        lens.iter().scan(0usize, |lo, &len| {
+            let r = *lo..*lo + len;
+            *lo += len;
+            Some(r)
+        })
     }
 
     /// Splits a dense vector into parts of the given lengths.
-    fn split(v: &[f64], lens: &[usize]) -> DistVec<f64> {
-        let mut parts = Vec::new();
-        let mut lo = 0usize;
-        for &len in lens {
-            parts.push(v[lo..lo + len].to_vec());
-            lo += len;
-        }
-        assert_eq!(lo, v.len());
-        DistVec::from_parts(parts)
+    fn split<L: Lane>(v: &[L], lens: &[usize]) -> DistVec<L> {
+        assert_eq!(lens.iter().sum::<usize>(), v.len());
+        DistVec::from_parts(ranges(lens).map(|r| v[r].to_vec()).collect())
     }
 
-    #[test]
-    fn dist_primitives_agree_with_dense() {
+    /// A dense reduction per part, summed in locale order — the
+    /// combination order of every distributed reduction.
+    fn per_part(lens: &[usize], f: impl Fn(std::ops::Range<usize>) -> f64) -> f64 {
+        ranges(lens).fold(0.0, |acc, r| acc + f(r))
+    }
+
+    /// Each distributed primitive against the dense `Vec<L>` one: updates
+    /// bitwise, reductions bitwise per part and to tolerance overall.
+    fn check_dist_primitives<L: Lane<Acc = f64> + PartialEq + std::fmt::Debug>() {
         let n = 3 * op::REDUCE_BLOCK + 137;
         let lens = [op::REDUCE_BLOCK + 1, 0, n - op::REDUCE_BLOCK - 1 - 500, 500];
-        let a = ramp(n, 1e-3);
-        let b = ramp(n, -7e-4);
+        let a: Vec<L> = ramp(n, 1e-3);
+        let b: Vec<L> = ramp(n, -7e-4);
         let da = split(&a, &lens);
         let db = split(&b, &lens);
         let tol = 1e-12 * n as f64;
-        assert!((KrylovVec::dot(&da, &db) - op::dot(&a, &b)).abs() <= tol);
-        assert!((da.norm_sqr() - op::norm_sqr(&a)).abs() <= tol);
+        let dot = KrylovVec::dot(&da, &db);
+        assert_eq!(
+            dot.to_bits(),
+            per_part(&lens, |r| op::par_dot(&a[r.clone()], &b[r])).to_bits()
+        );
+        assert!((dot - op::par_dot(&a, &b)).abs() <= tol);
+        let norm = da.norm_sqr();
+        assert_eq!(norm.to_bits(), per_part(&lens, |r| op::par_norm_sqr(&a[r])).to_bits());
+        assert!((norm - op::par_norm_sqr(&a)).abs() <= tol);
 
         let mut y = db.clone();
         y.axpy(0.37, &da);
         let mut y_ref = b.clone();
-        op::axpy(0.37, &a, &mut y_ref);
+        y_ref.axpy(0.37, &a);
         assert_eq!(y.concat(), y_ref, "axpy");
         y.scale(0.25);
-        op::scale(&mut y_ref, 0.25);
+        y_ref.scale(0.25);
         assert_eq!(y.concat(), y_ref, "scale");
 
         let mut y = db.clone();
         let fused = y.axpy_norm_sqr(-0.11, &da);
         let mut y_ref = b.clone();
-        op::axpy(-0.11, &a, &mut y_ref);
+        y_ref.axpy(-0.11, &a);
         assert_eq!(y.concat(), y_ref, "fused axpy");
-        assert!((fused - op::norm_sqr(&y_ref)).abs() <= tol, "fused norm");
+        assert_eq!(fused.to_bits(), per_part(&lens, |r| op::par_norm_sqr(&y_ref[r])).to_bits());
+        assert!((fused - op::par_norm_sqr(&y_ref)).abs() <= tol, "fused norm");
     }
 
     #[test]
-    fn dist_multi_kernels_agree_with_loops() {
+    fn dist_primitives_agree_with_dense() {
+        check_dist_primitives::<f64>();
+        check_dist_primitives::<f32>();
+    }
+
+    fn check_dist_multi_kernels<L: Lane<Acc = f64> + PartialEq + std::fmt::Debug>() {
         let n = 2 * op::REDUCE_BLOCK + 33;
         let lens = [17usize, n - 17 - 1000, 0, 1000];
-        let w = ramp(n, 5e-4);
-        let vs: Vec<Vec<f64>> = (0..5).map(|k| ramp(n, 1e-3 * (k + 1) as f64)).collect();
+        let w: Vec<L> = ramp(n, 5e-4);
+        let vs: Vec<Vec<L>> = (0..5).map(|k| ramp(n, 1e-3 * (k + 1) as f64)).collect();
         let dw = split(&w, &lens);
-        let dvs: Vec<DistVec<f64>> = vs.iter().map(|v| split(v, &lens)).collect();
+        let dvs: Vec<DistVec<L>> = vs.iter().map(|v| split(v, &lens)).collect();
 
         let coeffs = KrylovVec::multi_dot(&dvs, &dw);
         for (b, v) in vs.iter().enumerate() {
-            let expect = op::dot(v, &w);
-            assert!((coeffs[b] - expect).abs() <= 1e-12 * n as f64, "lane {b}");
+            let expect = per_part(&lens, |r| op::par_dot(&v[r.clone()], &w[r]));
+            assert_eq!(coeffs[b].to_bits(), expect.to_bits(), "lane {b}");
+            assert!((coeffs[b] - op::par_dot(v, &w)).abs() <= 1e-12 * n as f64, "lane {b}");
         }
 
         let mut out = dw.clone();
         DistVec::multi_axpy(&coeffs, &dvs, &mut out);
         let mut out_ref = w.clone();
-        for i in 0..n {
-            for (b, v) in vs.iter().enumerate() {
-                out_ref[i] += coeffs[b] * v[i];
-            }
-        }
+        Vec::multi_axpy(&coeffs, &vs, &mut out_ref);
         assert_eq!(out.concat(), out_ref, "multi-axpy");
 
         let mut out2 = dw.clone();
         let fused = DistVec::multi_axpy_norm_sqr(&coeffs, &dvs, &mut out2);
         assert_eq!(out2.concat(), out_ref, "fused multi-axpy update");
-        assert!((fused - op::norm_sqr(&out_ref)).abs() <= 1e-10 * n as f64, "fused norm");
+        let norm = per_part(&lens, |r| op::par_norm_sqr(&out_ref[r]));
+        assert_eq!(fused.to_bits(), norm.to_bits(), "fused norm");
+    }
+
+    #[test]
+    fn dist_multi_kernels_agree_with_loops() {
+        check_dist_multi_kernels::<f64>();
+        check_dist_multi_kernels::<f32>();
     }
 
     #[test]

@@ -17,6 +17,7 @@ pub mod combinadics;
 pub mod complexnum;
 pub mod encoding;
 pub mod hash;
+pub mod lane;
 pub mod net;
 pub mod search;
 pub mod simd;
@@ -25,4 +26,5 @@ pub mod sort;
 pub use complexnum::{Complex64, Scalar};
 pub use encoding::{CodedRange, SiteEncoding};
 pub use hash::{hash64_01, locale_idx_of};
+pub use lane::Lane;
 pub use net::BenesNetwork;

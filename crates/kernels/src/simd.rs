@@ -25,8 +25,9 @@
 //! (bit-identical across thread counts and backends) holds per
 //! `LS_SIMD` setting *and* across settings.
 //!
-//! The f32-storage kernels (`dot_f32`, `axpy_f32`, ...) are the BLAS-1
-//! layer of the mixed-precision Krylov mode (`LS_PRECISION=f32|mixed` in
+//! The f32-storage kernels (`dot_f32`, `axpy_f32`, ...) are the
+//! per-block kernels of the `f32` [`crate::Lane`], which backs the
+//! reduced-precision Krylov modes (`LS_PRECISION=f32|mixed` in
 //! `ls-eigen`): vectors are stored in f32, every product is widened to
 //! f64 before arithmetic, and every reduction accumulates in f64 — only
 //! storage narrows.

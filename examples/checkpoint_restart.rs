@@ -36,6 +36,20 @@ use exact_diag::prelude::*;
 use exact_diag::runtime::transport;
 
 fn main() {
+    // The distributed solve has no reduced-precision operator: refuse an
+    // `LS_PRECISION` it cannot honor before any rank is launched, instead
+    // of quietly running f64.
+    let precision = exact_diag::eigen::Precision::from_env();
+    if transport::requested_backend() == transport::Backend::MultiProcess
+        && precision != exact_diag::eigen::Precision::F64
+    {
+        let mode = std::env::var("LS_PRECISION").unwrap_or_default();
+        eprintln!(
+            "LS_PRECISION={mode} is not supported with LS_TRANSPORT=multiprocess: \
+             distributed solves run in f64 only (unset LS_PRECISION or set it to f64)"
+        );
+        std::process::exit(2);
+    }
     transport::launch_if_requested();
     let mut sites = 18usize;
     let mut weight: Option<usize> = None;
@@ -94,7 +108,6 @@ fn main() {
     // `LS_PRECISION=f32|mixed` stores the Krylov state (and the
     // checkpoint payload) in 4-byte lanes; the kill-and-resume contract
     // is per precision mode.
-    let precision = exact_diag::eigen::Precision::from_env();
     let lane = if precision == exact_diag::eigen::Precision::F64 { 8 } else { 4 };
     println!(
         "{sites}-site U(1) sector (weight {weight}): dim {}, budget {} vectors \
@@ -181,8 +194,8 @@ fn main() {
 
 /// The reduced-precision variant (`LS_PRECISION=f32|mixed`): the same
 /// cycle-by-cycle kill-and-resume protocol, but the Krylov state is
-/// stored in f32 ([`exact_diag::eigen::F32Vec`] via
-/// [`exact_diag::eigen::MixedOp`]) and checkpoints carry 4-byte lanes.
+/// stored as `Vec<f32>` (through [`exact_diag::eigen::MixedOp`]) and
+/// checkpoints carry 4-byte lanes.
 /// Resume stays bit-identical *within the mode*; `mixed` additionally
 /// runs one f64 Rayleigh–Ritz refinement over the converged Ritz basis
 /// before reporting eigenvalues.
@@ -199,9 +212,7 @@ fn run_reduced(
     verify: bool,
     max_cycles: usize,
 ) {
-    use exact_diag::eigen::{
-        refine_in_f64, thick_restart_lanczos_in, F32Vec, MixedOp, Precision,
-    };
+    use exact_diag::eigen::{refine_in_f64, thick_restart_lanczos_in, MixedOp, Precision};
 
     let mixed = MixedOp::new(op);
     // The mixed mode refines over the converged Ritz basis, so the f32
@@ -216,7 +227,7 @@ fn run_reduced(
     let policy = CheckpointPolicy { keep, ..CheckpointPolicy::new(path.to_path_buf()) };
 
     let start = if path.exists() {
-        match exact_diag::core::io::load_latest_checkpoint::<F32Vec, _>(path, &mixed) {
+        match exact_diag::core::io::load_latest_checkpoint::<Vec<f32>, _>(path, &mixed) {
             Ok(st) => st.restarts + 1,
             Err(e) => panic!("cannot resume from {ckpt}: {e}"),
         }
@@ -251,7 +262,7 @@ fn run_reduced(
 
     // Refinement is deterministic over a deterministic basis, so the
     // refined eigenvalues inherit the resume contract bit for bit.
-    let finish = |res: &exact_diag::eigen::LanczosResultIn<F32Vec>| -> Vec<f64> {
+    let finish = |res: &exact_diag::eigen::LanczosResultIn<Vec<f32>>| -> Vec<f64> {
         match precision {
             Precision::Mixed => {
                 let basis = res.eigenvectors.as_ref().expect("want_vectors was set");

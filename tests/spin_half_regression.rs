@@ -63,3 +63,23 @@ fn combinadic_u1_eigenvalue_bit_identical() {
     let e0 = exact_diag::core::eigen::ground_state_energy(&op);
     assert_eq!(e0.to_bits(), 0xc021cf0bc0518648, "got {e0}");
 }
+
+#[test]
+fn reduced_precision_eigenvalues_bit_identical() {
+    // 16-site U(1) sector through f32 Krylov storage: raw (`F32`) and
+    // with the f64 Rayleigh–Ritz refinement (`Mixed`).
+    use exact_diag::eigen::{eigensolve_precision, Precision};
+    let n = 16usize;
+    let expr = heisenberg(&chain_bonds(n), 1.0);
+    let sector = SectorSpec::with_weight(n as u32, 8).unwrap();
+    let (_, op) = exact_diag::core::Operator::<f64>::from_expr(&expr, sector).unwrap();
+    let opts = RestartOptions { extra: 10, tol: 1e-6, ..RestartOptions::new(2) };
+    for (precision, expect) in [
+        (Precision::F32, [0xc01c91b622a5e350u64, 0xc01b7d0988688109]),
+        (Precision::Mixed, [0xc01c91b6231cc0ea, 0xc01b7d0988788e1f]),
+    ] {
+        let r = eigensolve_precision(&op, &opts, precision);
+        let bits: Vec<u64> = r.eigenvalues.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, expect, "{precision:?}");
+    }
+}
