@@ -25,8 +25,6 @@
 
 pub mod collective;
 pub mod matvec;
-pub mod stored;
 
 pub use collective::alltoallv;
 pub use matvec::matvec_alltoall;
-pub use stored::StoredMatrix;

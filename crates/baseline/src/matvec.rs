@@ -94,9 +94,9 @@ pub fn peak_buffered_pairs<S: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ls_basis::SectorSpec;
+    use ls_basis::{SectorSpec, SpinBasis};
     use ls_dist::enumerate_dist;
-    use ls_dist::matvec::{matvec_naive, matvec_pc, PcOptions};
+    use ls_dist::matvec::{matvec_pc, PcOptions};
     use ls_expr::builders::heisenberg;
     use ls_runtime::ClusterSpec;
     use ls_symmetry::lattice;
@@ -120,6 +120,32 @@ mod tests {
         (cluster, op, basis, x)
     }
 
+    /// `H x` by the shared-memory serial product, read back per
+    /// distributed state.
+    fn serial_reference(
+        op: &SymmetrizedOperator<f64>,
+        basis: &DistSpinBasis,
+        x: &DistVec<f64>,
+    ) -> DistVec<f64> {
+        let dense = SpinBasis::build(basis.sector().clone());
+        let mut xd = vec![0.0; dense.dim()];
+        for (states, xs) in basis.states().parts().iter().zip(x.parts()) {
+            for (&s, &v) in states.iter().zip(xs) {
+                xd[dense.index_of(s).unwrap()] = v;
+            }
+        }
+        let mut y = vec![0.0; dense.dim()];
+        ls_core::matvec::apply_serial(op, &dense, &xd, &mut y);
+        DistVec::from_parts(
+            basis
+                .states()
+                .parts()
+                .iter()
+                .map(|p| p.iter().map(|&s| y[dense.index_of(s).unwrap()]).collect())
+                .collect(),
+        )
+    }
+
     #[test]
     fn agrees_with_async_implementations() {
         for locales in [1usize, 2, 4] {
@@ -127,15 +153,14 @@ mod tests {
             let lens = basis.states().lens();
             let mut y_base = DistVec::<f64>::zeros(&lens);
             matvec_alltoall(&cluster, &op, &basis, &x, &mut y_base);
-            let mut y_naive = DistVec::<f64>::zeros(&lens);
-            matvec_naive(&cluster, &op, &basis, &x, &mut y_naive);
+            let y_ref = serial_reference(&op, &basis, &x);
             let mut y_pc = DistVec::<f64>::zeros(&lens);
             matvec_pc(&cluster, &op, &basis, &x, &mut y_pc, PcOptions::default());
             for l in 0..locales {
-                for ((base, naive), pc) in
-                    y_base.part(l).iter().zip(y_naive.part(l)).zip(y_pc.part(l))
+                for ((base, serial), pc) in
+                    y_base.part(l).iter().zip(y_ref.part(l)).zip(y_pc.part(l))
                 {
-                    assert!((base - naive).abs() < 1e-11);
+                    assert!((base - serial).abs() < 1e-11);
                     assert!((base - pc).abs() < 1e-11);
                 }
             }

@@ -159,19 +159,18 @@ fn bench_diagonal(c: &mut Criterion) {
     g.finish();
 }
 
-/// Batched vs per-row destination handling in the matvec inner loop.
+/// Message granularity of the distributed product: the staging-buffer
+/// capacity of the producer/consumer pipeline, from one pair per message
+/// to whole-row-block batches.
 fn bench_batched_rows(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_batched_rows");
     g.sample_size(10);
     let s = ls_bench::SmallScale::chain(22, 4, 1);
     let mut y = ls_runtime::DistVec::<f64>::zeros(&s.basis.states().lens());
-    for batch in [1usize, 16, 256, 4096] {
-        g.bench_function(format!("batch_{batch}"), |b| {
-            b.iter(|| {
-                ls_dist::matvec::matvec_batched(
-                    &s.cluster, &s.op, &s.basis, &s.x, &mut y, batch,
-                )
-            })
+    for capacity in [1usize, 16, 256, 4096] {
+        let opts = ls_dist::PcOptions { capacity, ..ls_dist::PcOptions::default() };
+        g.bench_function(format!("capacity_{capacity}"), |b| {
+            b.iter(|| ls_dist::matvec_pc(&s.cluster, &s.op, &s.basis, &s.x, &mut y, opts))
         });
     }
     g.finish();

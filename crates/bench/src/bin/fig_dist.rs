@@ -362,7 +362,7 @@ fn main() {
         let dist_op = DistOp::new(&cluster, &op, &basis, pc);
         let mut y = ls_eigen::KrylovOp::new_vec(&dist_op);
         let d = ls_eigen::KrylovOp::apply_dot(&dist_op, &psi, &mut y);
-        assert_eq!(d.to_bits(), ls_dist::blas::dot(&psi, &y).to_bits());
+        assert_eq!(d.to_bits(), ls_eigen::KrylovVec::dot(&psi, &y).to_bits());
     }
 
     let rows: Vec<String> = cells

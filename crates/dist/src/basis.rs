@@ -114,8 +114,8 @@ impl DistSpinBasis {
     /// Bulk `stateToIndex` on `locale`: ranks a whole batch of received
     /// states through the interleaved prefix-bucket kernel, writing
     /// `u32` ranks (or [`ls_kernels::search::NOT_FOUND`]) into `out`.
-    /// This is how the owner side of the batched/producer-consumer
-    /// matvec formulations ranks incoming off-diagonal batches.
+    /// This is how the owner side of the producer/consumer matvec (and
+    /// of the `alltoallv` baseline) ranks incoming off-diagonal batches.
     #[inline]
     pub fn index_on_batch(&self, locale: usize, reps: &[u64], out: &mut Vec<u32>) {
         self.index[locale].lookup_batch(self.states.part(locale), reps, out);

@@ -212,7 +212,7 @@ mod tests {
         // dot over the *same* output (two separate products may differ in
         // the last ulp: the pipeline accumulates in arrival order, like
         // the paper's remote atomics).
-        assert_eq!(d_fused.to_bits(), crate::blas::dot(&x, &y_fused).to_bits());
+        assert_eq!(d_fused.to_bits(), ls_eigen::KrylovVec::dot(&x, &y_fused).to_bits());
         let mut y_plain = dist_op.new_vec();
         dist_op.apply(&x, &mut y_plain);
         for l in 0..3 {
@@ -220,6 +220,6 @@ mod tests {
                 assert!((a - b).abs() < 1e-12);
             }
         }
-        assert!((d_fused - crate::blas::dot(&x, &y_plain)).abs() < 1e-10);
+        assert!((d_fused - ls_eigen::KrylovVec::dot(&x, &y_plain)).abs() < 1e-10);
     }
 }

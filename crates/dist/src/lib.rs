@@ -14,26 +14,25 @@
 //!   Figs. 2–3); the roundtrip is bit-exact;
 //! * [`distribution`] — load-balance diagnostics comparing the hashed
 //!   scheme against naive contiguous range partitioning;
-//! * [`matvec`] — three distributed matrix-vector products: per-element
-//!   remote atomics ([`matvec::matvec_naive`]), bulk batched transfers
-//!   ([`matvec::matvec_batched`]) and the producer/consumer pipeline of
-//!   Sec. 5.3 ([`matvec::matvec_pc`] / [`matvec::pc::PcEngine`]) that
-//!   overlaps row generation with communication through reusable buffer
-//!   channels;
+//! * [`matvec`] — the distributed matrix-vector product: one push-style
+//!   producer/consumer pipeline (Sec. 5.3, [`matvec::matvec_pc`] /
+//!   [`matvec::pc::PcEngine`]) that overlaps row generation with
+//!   communication through reusable buffer channels, plus the pull-style
+//!   gather baseline ([`matvec::matvec_gather`]) that replicates `x`
+//!   through checksummed one-sided reads;
 //! * [`eigensolve`] — distributed Lanczos running **in place on
 //!   [`ls_runtime::DistVec`]** through [`ls_eigen`]'s generic Krylov
 //!   solver ([`eigensolve::DistOp`] implements `KrylovOp<DistVec>`): no
 //!   Krylov vector is ever gathered, and one producer/consumer engine's
 //!   buffers are reused across the repeated matrix-vector products;
 //! * [`dynamics`] — distributed time evolution (`exp(-itH)`, `exp(-τH)`)
-//!   and spectral-function coefficients on the same in-place pipeline;
-//! * [`blas`] — level-1 operations on distributed vectors, including the
-//!   fused blocked-CGS2 kernels (`multi_dot`, `multi_axpy`,
-//!   `multi_axpy_norm_sqr`, `axpy_norm_sqr`) the Krylov recurrence runs
-//!   on.
+//!   and spectral-function coefficients on the same in-place pipeline.
+//!
+//! Level-1 operations on distributed vectors are the
+//! [`ls_eigen::KrylovVec`] methods of [`ls_runtime::DistVec`]
+//! (`dot`, `norm_sqr`, `axpy`, the fused blocked-CGS2 kernels, …).
 
 pub mod basis;
-pub mod blas;
 pub mod convert;
 pub mod distribution;
 pub mod dynamics;
@@ -49,4 +48,4 @@ pub use dynamics::{
 pub use eigensolve::{
     dist_thick_restart_lanczos, DistLanczosResult, DistOp, DistRestartOptions,
 };
-pub use matvec::{matvec_batched, matvec_naive, matvec_pc, PcOptions};
+pub use matvec::{matvec_pc, PcOptions};

@@ -1,27 +1,25 @@
 //! Distributed matrix-vector products `y = H x` over the hashed basis
 //! distribution (paper Sec. 5.3).
 //!
-//! Three formulations, all push-style (each locale scatters contributions
-//! generated from its own rows):
+//! Two formulations:
 //!
-//! * [`matvec_naive`] — every off-locale contribution is one remote atomic
-//!   update. Maximal communication granularity; the baseline the paper's
-//!   buffering strategies improve on.
-//! * [`matvec_batched`] — contributions are staged per destination and
-//!   shipped in bulk batches ("computing multiple rows at once"), then
-//!   accumulated on behalf of the destination.
-//! * [`matvec_pc`] — the producer/consumer pipeline of Sec. 5.3 (see
-//!   [`pc`]): producers stream `(state, coefficient)` pairs through
-//!   fixed-capacity buffer channels while consumers concurrently rank and
-//!   accumulate, overlapping generation with communication.
+//! * [`matvec_pc`] — the push-style producer/consumer pipeline of
+//!   Sec. 5.3 (see [`pc`]): each locale generates contributions from its
+//!   own rows, producers stream `(state, coefficient)` pairs through
+//!   fixed-capacity buffer channels, and consumers concurrently rank and
+//!   accumulate them owner-side, overlapping generation with
+//!   communication. The one product the solvers, examples and benchmarks
+//!   run; `PcOptions::capacity` sets the message granularity.
+//! * [`matvec_gather`] (see [`gather`]) — the pull-style baseline: every
+//!   locale replicates `x` through one-sided window reads and fills its
+//!   own rows locally. This is the `O(dim)`-bytes-per-product pattern
+//!   the pipeline beats, kept both as the benchmark yardstick and as the
+//!   solve mode that exercises the checksummed window read path.
 //!
-//! Plus one pull-style baseline, [`matvec_gather`] (see [`gather`]):
-//! every locale replicates `x` through one-sided window reads and fills
-//! its own rows locally — the `O(dim)`-bytes-per-product pattern the
-//! buffered formulations beat, kept both as the benchmark yardstick and
-//! as the solve mode that exercises the checksummed window read path.
+//! The bulk-synchronous `alltoallv` product the paper compares against
+//! lives in `ls-baseline`.
 //!
-//! Under `LS_INTEGRITY=full` the push formulations additionally carry an
+//! Under `LS_INTEGRITY=full` the push product additionally carries an
 //! ABFT checksum vector (`AbftTally`): the sum of contributions
 //! generated for each destination must match the destination's realized
 //! part sum, catching endpoint corruption the wire CRCs cannot.
@@ -30,7 +28,6 @@ pub mod gather;
 pub mod pc;
 
 use crate::basis::DistSpinBasis;
-use ls_basis::SymmetrizedOperator;
 use ls_kernels::search::NOT_FOUND;
 use ls_kernels::Scalar;
 use ls_runtime::{transport, AtomicAccumWindow, Cluster, DistVec, TransportError};
@@ -48,7 +45,7 @@ pub use pc::{matvec_pc, PcOptions};
 const ABFT_REL_TOL: f64 = 1e-10;
 
 /// Checksum-vector tally for algorithm-based fault tolerance over the
-/// push-style matvec formulations.
+/// push-style product.
 ///
 /// `y` is zeroed before a product and only ever *accumulated* into, so
 /// for every destination locale `ℓ` the sum of `y.part(ℓ)` must equal
@@ -190,7 +187,7 @@ fn checksum_mismatch(sre: f64, sim: f64, mass: f64, yre: f64, yim: f64) -> Optio
 
 /// Ranks a shipped batch of `(state, coefficient)` pairs on behalf of
 /// `dest` with the bulk prefix-bucket kernel and accumulates it — the
-/// owner-side half of the batched formulations. `needles`/`idx` are
+/// owner-side half of the push product. `needles`/`idx` are
 /// caller-owned scratch reused across batches.
 pub(crate) fn accumulate_batch<S: Scalar>(
     basis: &DistSpinBasis,
@@ -248,161 +245,47 @@ pub(crate) fn validate_shapes<S: Scalar>(
     }
 }
 
-/// `y = H x` with one remote atomic accumulation per off-locale matrix
-/// element.
-pub fn matvec_naive<S: Scalar>(
-    cluster: &Cluster,
-    op: &SymmetrizedOperator<S>,
-    basis: &DistSpinBasis,
-    x: &DistVec<S>,
-    y: &mut DistVec<S>,
-) {
-    validate_shapes(cluster, basis, x, y);
-    for part in y.parts_mut() {
-        part.fill(S::ZERO);
+/// The test oracle of every distributed product: `H x` by the serial
+/// push loop over an independently built shared-memory [`SpinBasis`],
+/// returned in `dist`'s hashed layout.
+///
+/// [`SpinBasis`]: ls_basis::SpinBasis
+#[cfg(test)]
+pub(crate) fn serial_reference(
+    op: &ls_basis::SymmetrizedOperator<f64>,
+    dist: &DistSpinBasis,
+    x: &DistVec<f64>,
+) -> DistVec<f64> {
+    let basis = ls_basis::SpinBasis::build(dist.sector().clone());
+    let mut x_dense = vec![0.0; basis.dim()];
+    for (states, xs) in dist.states().parts().iter().zip(x.parts()) {
+        for (&s, &v) in states.iter().zip(xs) {
+            x_dense[basis.index_of(s).unwrap()] = v;
+        }
     }
-    let win = AtomicAccumWindow::new(y);
-    cluster.run(|ctx| {
-        let me = ctx.locale();
-        let states = basis.states().part(me);
-        let orbits = basis.orbit_sizes().part(me);
-        let x_local = x.part(me);
-        let mut row = Vec::with_capacity(op.max_row_entries());
-        for (j, (&alpha, &orbit)) in states.iter().zip(orbits).enumerate() {
-            let xj = x_local[j];
-            let d = op.diagonal(alpha);
-            if d != S::ZERO {
-                win.fetch_add(me, j, d * xj);
-            }
-            row.clear();
-            op.apply_off_diag(alpha, orbit, &mut row);
-            for &(rep, amp) in &row {
-                let dest = basis.owner(rep);
-                let i = basis.index_on(dest, rep).expect("state missing from the basis");
-                win.fetch_add(dest, i, amp * xj);
-                if dest != me {
-                    ctx.stats().record_remote_atomic();
-                }
-            }
+    let mut y = vec![0.0; basis.dim()];
+    let mut row = Vec::new();
+    for j in 0..basis.dim() {
+        let alpha = basis.state(j);
+        y[j] += op.diagonal(alpha) * x_dense[j];
+        row.clear();
+        op.apply_off_diag(alpha, basis.orbit_sizes()[j], &mut row);
+        for &(rep, amp) in &row {
+            y[basis.index_of(rep).unwrap()] += amp * x_dense[j];
         }
-        ctx.barrier_wait();
-    });
-}
-
-/// `y = H x` with per-destination batching: `(state, coefficient)` pairs
-/// are staged locally and shipped `batch` at a time, then accumulated on
-/// behalf of the destination locale.
-pub fn matvec_batched<S: Scalar>(
-    cluster: &Cluster,
-    op: &SymmetrizedOperator<S>,
-    basis: &DistSpinBasis,
-    x: &DistVec<S>,
-    y: &mut DistVec<S>,
-    batch: usize,
-) {
-    assert!(batch >= 1, "batch size must be positive");
-    validate_shapes(cluster, basis, x, y);
-    for part in y.parts_mut() {
-        part.fill(S::ZERO);
     }
-    let locales = cluster.n_locales();
-    let abft = ls_runtime::IntegrityMode::from_env().full().then(|| AbftTally::new(locales));
-    let win = AtomicAccumWindow::new(y);
-    cluster.run(|ctx| {
-        let me = ctx.locale();
-        let states = basis.states().part(me);
-        let orbits = basis.orbit_sizes().part(me);
-        let x_local = x.part(me);
-        let mut tally = abft.as_ref().map(AbftTally::local);
-        let mut staging: Vec<Vec<(u64, S)>> =
-            (0..locales).map(|_| Vec::with_capacity(batch)).collect();
-        let mut row = Vec::with_capacity(op.max_row_entries());
-        let needles = std::cell::RefCell::new((Vec::new(), Vec::new()));
-
-        let flush = |ctx: &ls_runtime::LocaleCtx<'_>,
-                     dest: usize,
-                     pairs: &mut Vec<(u64, S)>| {
-            if pairs.is_empty() {
-                return;
-            }
-            // The bulk transfer of the batch...
-            ctx.stats().record_put(pairs.len() * std::mem::size_of::<(u64, S)>(), dest != me);
-            // ...after which ranking + accumulation happen on the
-            // destination's data (executed here on its behalf), through
-            // the interleaved bulk kernel.
-            let (needles, idx) = &mut *needles.borrow_mut();
-            accumulate_batch(basis, &win, dest, pairs, needles, idx);
-            pairs.clear();
-        };
-
-        for (j, (&alpha, &orbit)) in states.iter().zip(orbits).enumerate() {
-            let xj = x_local[j];
-            let d = op.diagonal(alpha);
-            if d != S::ZERO {
-                win.fetch_add(me, j, d * xj);
-                if let Some(t) = &mut tally {
-                    AbftTally::note(t, me, d * xj);
-                }
-            }
-            row.clear();
-            op.apply_off_diag(alpha, orbit, &mut row);
-            for &(rep, amp) in &row {
-                let dest = basis.owner(rep);
-                staging[dest].push((rep, amp * xj));
-                if let Some(t) = &mut tally {
-                    AbftTally::note(t, dest, amp * xj);
-                }
-                if staging[dest].len() >= batch {
-                    flush(ctx, dest, &mut staging[dest]);
-                }
-            }
-        }
-        for (dest, pairs) in staging.iter_mut().enumerate() {
-            flush(ctx, dest, pairs);
-        }
-        if let (Some(abft), Some(t)) = (&abft, &tally) {
-            abft.merge(t);
-        }
-        ctx.barrier_wait();
-    });
-    drop(win);
-    if let Some(abft) = &abft {
-        abft.verify(y);
-    }
+    DistVec::from_parts(
+        dist.states()
+            .parts()
+            .iter()
+            .map(|p| p.iter().map(|&s| y[basis.index_of(s).unwrap()]).collect())
+            .collect(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::basis::enumerate_dist;
-    use ls_basis::{SectorSpec, SpinBasis};
-    use ls_expr::builders::heisenberg;
-    use ls_runtime::ClusterSpec;
-    use ls_symmetry::lattice::{chain_bonds, chain_group};
-
-    fn setup(
-        n: usize,
-    ) -> (SectorSpec, SymmetrizedOperator<f64>, SpinBasis, Vec<f64>, Vec<f64>) {
-        let kernel = heisenberg(&chain_bonds(n), 1.0).to_kernel(n as u32).unwrap();
-        let group = chain_group(n, 0, Some(0), Some(0)).unwrap();
-        let sector = SectorSpec::new(n as u32, Some(n as u32 / 2), group).unwrap();
-        let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
-        let basis = SpinBasis::build(sector.clone());
-        let x: Vec<f64> = (0..basis.dim()).map(|i| ((i as f64) * 0.37).sin()).collect();
-        // Serial push reference.
-        let mut y = vec![0.0; basis.dim()];
-        let mut row = Vec::new();
-        for j in 0..basis.dim() {
-            let alpha = basis.state(j);
-            y[j] += op.diagonal(alpha) * x[j];
-            row.clear();
-            op.apply_off_diag(alpha, basis.orbit_sizes()[j], &mut row);
-            for &(rep, amp) in &row {
-                y[basis.index_of(rep).unwrap()] += amp * x[j];
-            }
-        }
-        (sector, op, basis, x, y)
-    }
 
     #[test]
     fn abft_tally_accepts_clean_sums_and_flags_corruption() {
@@ -434,36 +317,5 @@ mod tests {
         nan_tally.merge(&local);
         let y1 = DistVec::from_parts(vec![vec![0.0f64]]);
         assert!(std::panic::catch_unwind(|| nan_tally.verify(&y1)).is_err());
-    }
-
-    #[test]
-    fn naive_and_batched_match_serial() {
-        let (sector, op, basis, x, y_ref) = setup(12);
-        for locales in [1usize, 3] {
-            let cluster = Cluster::new(ClusterSpec::new(locales, 1));
-            let dist = enumerate_dist(&cluster, &sector, 2);
-            let mut xd = DistVec::<f64>::zeros(&dist.states().lens());
-            for l in 0..locales {
-                for (i, &s) in dist.states().part(l).iter().enumerate() {
-                    xd.part_mut(l)[i] = x[basis.index_of(s).unwrap()];
-                }
-            }
-            for batch in [None, Some(1), Some(7), Some(1024)] {
-                let mut yd = DistVec::<f64>::zeros(&dist.states().lens());
-                match batch {
-                    None => matvec_naive(&cluster, &op, &dist, &xd, &mut yd),
-                    Some(b) => matvec_batched(&cluster, &op, &dist, &xd, &mut yd, b),
-                }
-                for l in 0..locales {
-                    for (i, &s) in dist.states().part(l).iter().enumerate() {
-                        let expect = y_ref[basis.index_of(s).unwrap()];
-                        assert!(
-                            (yd.part(l)[i] - expect).abs() < 1e-11,
-                            "locales={locales} batch={batch:?}"
-                        );
-                    }
-                }
-            }
-        }
     }
 }

@@ -1,8 +1,8 @@
 //! The gather (pull-style) matrix-vector product: every locale replicates
 //! `x` through one-sided RMA reads, then computes its own rows locally.
 //!
-//! This is the communication pattern the push-style formulations
-//! ([`crate::matvec::matvec_pc`] and friends) were built to avoid — each
+//! This is the communication pattern the push-style producer/consumer
+//! product ([`crate::matvec::matvec_pc`]) was built to avoid — each
 //! product moves `O(dim)` bytes per locale instead of `O(matrix
 //! elements that cross a boundary)` — but it earns its keep twice:
 //!
@@ -169,7 +169,7 @@ impl<S: Scalar> KrylovOp<DistVec<S>> for GatherOp<'_, S> {
 mod tests {
     use super::*;
     use crate::basis::enumerate_dist;
-    use crate::matvec::matvec_naive;
+    use crate::matvec::serial_reference;
     use ls_basis::SectorSpec;
     use ls_expr::builders::heisenberg;
     use ls_runtime::ClusterSpec;
@@ -197,16 +197,15 @@ mod tests {
     }
 
     #[test]
-    fn gather_matches_the_push_formulation() {
+    fn gather_matches_the_serial_reference() {
         for locales in [1usize, 3] {
             let (cluster, op, basis, x) = setup(12, locales);
             let lens = basis.states().lens();
             let mut y_pull = DistVec::<f64>::zeros(&lens);
             let gathered = matvec_gather(&cluster, &op, &basis, &x, &mut y_pull);
-            let mut y_push = DistVec::<f64>::zeros(&lens);
-            matvec_naive(&cluster, &op, &basis, &x, &mut y_push);
+            let y_ref = serial_reference(&op, &basis, &x);
             for l in 0..locales {
-                for (a, b) in y_pull.part(l).iter().zip(y_push.part(l)) {
+                for (a, b) in y_pull.part(l).iter().zip(y_ref.part(l)) {
                     assert!((a - b).abs() < 1e-11, "locales={locales}");
                 }
             }

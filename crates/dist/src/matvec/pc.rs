@@ -141,7 +141,7 @@ impl<S: Scalar> PcEngine<S> {
     /// crossing the cluster barrier. The per-locale partials (each a
     /// deterministic [`ls_eigen::op::par_dot`]) are then combined in
     /// locale order, making the value bit-identical to `apply` followed
-    /// by [`crate::blas::dot`] at any thread count.
+    /// by the `KrylovVec::dot` of [`DistVec`] at any thread count.
     pub fn apply_dot(
         &self,
         cluster: &Cluster,
@@ -177,7 +177,7 @@ impl<S: Scalar> PcEngine<S> {
                 *p = S::from_reals(r);
             }
         }
-        // The locale-ordered sum of the partials (exactly `blas::dot`'s
+        // The locale-ordered sum of the partials (exactly `KrylovVec::dot`'s
         // combination order, identical on both backends).
         let mut acc = S::ZERO;
         for p in partials {
@@ -596,9 +596,8 @@ mod tests {
                 assert!((a - b).abs() < 1e-12);
             }
         }
-        // And it matches the naive formulation.
-        let mut y3 = DistVec::<f64>::zeros(&lens);
-        crate::matvec::matvec_naive(&cluster, &op, &basis, &x, &mut y3);
+        // And it matches the serial reference.
+        let y3 = crate::matvec::serial_reference(&op, &basis, &x);
         for l in 0..3 {
             for (a, b) in y1.part(l).iter().zip(y3.part(l)) {
                 assert!((a - b).abs() < 1e-10);
@@ -619,8 +618,7 @@ mod tests {
             &mut y_pc,
             PcOptions { producers: 3, consumers: 2, capacity: 1, ..PcOptions::default() },
         );
-        let mut y_ref = DistVec::<f64>::zeros(&lens);
-        crate::matvec::matvec_naive(&cluster, &op, &basis, &x, &mut y_ref);
+        let y_ref = crate::matvec::serial_reference(&op, &basis, &x);
         for l in 0..4 {
             for (a, b) in y_pc.part(l).iter().zip(y_ref.part(l)) {
                 assert!((a - b).abs() < 1e-10);

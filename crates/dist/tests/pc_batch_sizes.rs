@@ -1,8 +1,8 @@
 //! Integration test: the producer/consumer pipeline agrees with the
 //! shared-memory serial reference for extreme staging-buffer capacities —
-//! a 1-pair capacity degenerates to the naive formulation's granularity,
-//! 4096 exceeds the whole off-diagonal volume so everything ships in the
-//! final drain.
+//! a 1-pair capacity ships every off-diagonal contribution as its own
+//! message, 4096 exceeds the whole off-diagonal volume so everything
+//! ships in the final drain.
 
 use ls_basis::{SectorSpec, SpinBasis, SymmetrizedOperator};
 use ls_dist::matvec::{matvec_pc, PcOptions};
@@ -36,20 +36,25 @@ fn scatter(basis: &SpinBasis, dist: &DistSpinBasis, dense: &[f64]) -> DistVec<f6
     out
 }
 
-#[test]
-fn pc_pipeline_across_batch_capacities() {
-    let n = 12usize;
+/// Runs the pipeline on one sector over every capacity and task shape
+/// on each `(locales, cores)` cluster shape.
+fn check_sector(
+    n: usize,
+    group: ls_symmetry::SymmetryGroup,
+    x: impl Fn(usize) -> f64,
+    shapes: &[(usize, usize)],
+    chunks: usize,
+) {
     let kernel = heisenberg(&chain_bonds(n), 1.0).to_kernel(n as u32).unwrap();
-    let group = chain_group(n, 0, Some(0), Some(0)).unwrap();
     let sector = SectorSpec::new(n as u32, Some(n as u32 / 2), group).unwrap();
     let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
     let basis = SpinBasis::build(sector.clone());
-    let x: Vec<f64> = (0..basis.dim()).map(|i| ((i as f64) * 0.73).sin() - 0.2).collect();
+    let x: Vec<f64> = (0..basis.dim()).map(x).collect();
     let y_ref = serial_reference(&op, &basis, &x);
 
-    for locales in [1usize, 3] {
-        let cluster = Cluster::new(ClusterSpec::new(locales, 2));
-        let dist = enumerate_dist(&cluster, &sector, 2);
+    for &(locales, cores) in shapes {
+        let cluster = Cluster::new(ClusterSpec::new(locales, cores));
+        let dist = enumerate_dist(&cluster, &sector, chunks);
         let xd = scatter(&basis, &dist, &x);
         for capacity in [1usize, 7, 4096] {
             for (producers, consumers) in [(1usize, 1usize), (2, 2)] {
@@ -67,7 +72,7 @@ fn pc_pipeline_across_batch_capacities() {
                         let expect = y_ref[basis.index_of(s).unwrap()];
                         assert!(
                             (yd.part(l)[i] - expect).abs() < 1e-11,
-                            "locales={locales} capacity={capacity} p={producers} \
+                            "n={n} locales={locales} capacity={capacity} p={producers} \
                              c={consumers} state={s:#b}"
                         );
                     }
@@ -78,29 +83,21 @@ fn pc_pipeline_across_batch_capacities() {
 }
 
 #[test]
-fn batched_formulation_across_batch_sizes() {
-    // The per-destination staged (non-pipelined) batched matvec with the
-    // same 1 / 7 / 4096 batch sizes.
-    let n = 10usize;
-    let kernel = heisenberg(&chain_bonds(n), 1.0).to_kernel(n as u32).unwrap();
-    let group = chain_group(n, 0, None, Some(0)).unwrap();
-    let sector = SectorSpec::new(n as u32, Some(n as u32 / 2), group).unwrap();
-    let op = SymmetrizedOperator::<f64>::new(&kernel, &sector).unwrap();
-    let basis = SpinBasis::build(sector.clone());
-    let x: Vec<f64> = (0..basis.dim()).map(|i| ((i as f64) * 1.37).cos()).collect();
-    let y_ref = serial_reference(&op, &basis, &x);
-
-    let cluster = Cluster::new(ClusterSpec::new(4, 1));
-    let dist = enumerate_dist(&cluster, &sector, 3);
-    let xd = scatter(&basis, &dist, &x);
-    for batch in [1usize, 7, 4096] {
-        let mut yd = DistVec::<f64>::zeros(&dist.states().lens());
-        ls_dist::matvec::matvec_batched(&cluster, &op, &dist, &xd, &mut yd, batch);
-        for l in 0..4 {
-            for (i, &s) in dist.states().part(l).iter().enumerate() {
-                let expect = y_ref[basis.index_of(s).unwrap()];
-                assert!((yd.part(l)[i] - expect).abs() < 1e-11, "batch={batch}");
-            }
-        }
-    }
+fn pc_pipeline_across_batch_capacities() {
+    // Fully symmetric 12-site ring on 1 and 3 locales.
+    check_sector(
+        12,
+        chain_group(12, 0, Some(0), Some(0)).unwrap(),
+        |i| ((i as f64) * 0.73).sin() - 0.2,
+        &[(1, 2), (3, 2)],
+        2,
+    );
+    // 10-site ring without the reflection, spread over 4 single-core locales.
+    check_sector(
+        10,
+        chain_group(10, 0, None, Some(0)).unwrap(),
+        |i| ((i as f64) * 1.37).cos(),
+        &[(4, 1)],
+        3,
+    );
 }

@@ -47,6 +47,18 @@ use ls_kernels::{Lane, Scalar};
 use ls_runtime::transport::{self, MpRuntime};
 use ls_runtime::DistVec;
 
+/// Panics unless `a` and `b` have the same number of parts with the
+/// same lengths. A release-mode check: the per-part kernels zip parts and
+/// elements, so a mismatched pair would silently drop elements instead
+/// of failing.
+fn assert_same_layout<L>(a: &DistVec<L>, b: &DistVec<L>, what: &str) {
+    assert!(
+        a.n_locales() == b.n_locales()
+            && a.parts().iter().zip(b.parts()).all(|(p, q)| p.len() == q.len()),
+        "distributed {what} of mismatched layouts"
+    );
+}
+
 /// Rank-ordered sum of per-rank scalar partials (multiprocess). Lane-wise
 /// addition in rank order is bit-identical to the in-process backend's
 /// `acc += partial` over parts in locale order.
@@ -299,7 +311,7 @@ impl<L: Lane> KrylovVec for DistVec<L> {
     }
 
     fn dot(&self, other: &Self) -> L::Acc {
-        debug_assert_eq!(self.lens(), other.lens(), "distributed dot of mismatched layouts");
+        assert_same_layout(self, other, "dot");
         if let Some(mp) = transport::active() {
             let me = mp.rank();
             let partial = op::par_dot(self.part(me), other.part(me));
@@ -321,7 +333,7 @@ impl<L: Lane> KrylovVec for DistVec<L> {
     }
 
     fn axpy(&mut self, alpha: L::Acc, x: &Self) {
-        debug_assert_eq!(self.lens(), x.lens(), "distributed axpy of mismatched layouts");
+        assert_same_layout(self, x, "axpy");
         if let Some(mp) = transport::active() {
             let me = mp.rank();
             op::par_axpy(alpha, x.part(me), self.part_mut(me));
@@ -343,7 +355,7 @@ impl<L: Lane> KrylovVec for DistVec<L> {
     }
 
     fn axpy_norm_sqr(&mut self, alpha: L::Acc, x: &Self) -> f64 {
-        debug_assert_eq!(self.lens(), x.lens(), "distributed axpy of mismatched layouts");
+        assert_same_layout(self, x, "axpy");
         if let Some(mp) = transport::active() {
             let me = mp.rank();
             let partial = op::par_axpy_norm_sqr(alpha, x.part(me), self.part_mut(me));
@@ -611,5 +623,28 @@ mod tests {
     fn complex_dist_dot_conjugates_left() {
         let a = DistVec::from_parts(vec![vec![Complex64::new(0.0, 1.0)], vec![]]);
         assert!(KrylovVec::dot(&a, &a).approx_eq(Complex64::ONE, 1e-15));
+    }
+
+    /// Same total length, different split: the layout check must fire
+    /// in release builds too, before any kernel zips the parts.
+    fn misaligned_pair() -> (DistVec<f64>, DistVec<f64>) {
+        (
+            DistVec::from_parts(vec![vec![1.0, 2.0], vec![3.0]]),
+            DistVec::from_parts(vec![vec![1.0], vec![2.0, 3.0]]),
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "distributed dot of mismatched layouts")]
+    fn dist_dot_rejects_mismatched_layouts() {
+        let (a, b) = misaligned_pair();
+        let _ = KrylovVec::dot(&a, &b);
+    }
+
+    #[test]
+    #[should_panic(expected = "distributed axpy of mismatched layouts")]
+    fn dist_axpy_rejects_mismatched_layouts() {
+        let (mut a, b) = misaligned_pair();
+        KrylovVec::axpy(&mut a, 0.5, &b);
     }
 }

@@ -63,6 +63,7 @@ pub mod barrier;
 pub mod cluster;
 pub mod crc32c;
 pub mod distvec;
+pub mod env;
 pub mod fault;
 pub mod remote;
 pub mod stats;

@@ -32,10 +32,12 @@
 //! workers see EOF, remove the rendezvous directory themselves, and exit
 //! 124 (see `spawn_watchdog` in [`crate::transport`]).
 
+use crate::env::{var_or, EnvError};
 use crate::fault::FaultPlan;
 use crate::transport::{
-    ENV_BACKOFF_MS, ENV_JOB, ENV_LOCALES, ENV_MAX_RESTARTS, ENV_RANK, ENV_RESTART_COUNT,
-    ENV_WATCHDOG, EXIT_CORRUPTION, EXIT_FAILOVER, EXIT_ORPHANED, EXIT_PROTOCOL,
+    WorkerTiming, ENV_BACKOFF_MS, ENV_JOB, ENV_LOCALES, ENV_MAX_RESTARTS, ENV_RANK,
+    ENV_RESTART_COUNT, ENV_WATCHDOG, EXIT_CORRUPTION, EXIT_FAILOVER, EXIT_ORPHANED,
+    EXIT_PROTOCOL,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -175,25 +177,35 @@ impl Round {
     }
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+/// The supervisor's own settings — locale count, retry budget, base
+/// backoff — after checking every numeric `LS_*` knob of the job,
+/// including the ones only workers read.
+fn settings() -> Result<(usize, u64, Duration), EnvError> {
+    WorkerTiming::from_env()?;
+    var_or::<u64>(ENV_RESTART_COUNT, 0)?;
+    Ok((
+        var_or(ENV_LOCALES, 2)?,
+        var_or(ENV_MAX_RESTARTS, 2)?,
+        Duration::from_millis(var_or(ENV_BACKOFF_MS, 250)?),
+    ))
 }
 
 /// The supervisor entry point: runs rounds until one exits cleanly or
 /// the retry budget is spent, then exits with the verdict. Never
 /// returns.
 pub(crate) fn run_supervisor() -> ! {
-    // Validate the fault plan before spawning anything: a chaos-test
-    // typo fails at launch with the offending clause named, instead of
-    // panicking inside every worker's transport connect.
-    if let Err(e) = FaultPlan::try_from_env() {
+    // Validate the fault plan and the numeric knobs before spawning
+    // anything: a typo fails at launch with the offending setting named,
+    // instead of panicking inside (or being ignored by) every worker.
+    fn refuse(e: impl std::fmt::Display) -> ! {
         eprintln!("ls-mp: supervisor: {e}");
         std::process::exit(2);
     }
-    let n: usize = env_u64(ENV_LOCALES, 2) as usize;
+    if let Err(e) = FaultPlan::try_from_env() {
+        refuse(e);
+    }
+    let (n, max_restarts, backoff_base) = settings().unwrap_or_else(|e| refuse(e));
     assert!(n >= 1, "{ENV_LOCALES} must be >= 1");
-    let max_restarts = env_u64(ENV_MAX_RESTARTS, 2);
-    let backoff_base = Duration::from_millis(env_u64(ENV_BACKOFF_MS, 250));
     let exe = std::env::current_exe().expect("current_exe for the multiprocess supervisor");
     let args: Vec<String> = std::env::args().skip(1).collect();
     let base = if cfg!(unix) && std::path::Path::new("/dev/shm").is_dir() {

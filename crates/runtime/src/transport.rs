@@ -50,6 +50,7 @@
 //!   one rank happens-before anything issued after that barrier anywhere.
 
 use crate::crc32c::{crc32c, crc32c_append};
+use crate::env::{var_or, EnvError};
 use crate::fault::{FaultKind, FaultPlan, FrameClass};
 use crate::remote::BufferChannel;
 use crate::stats::CommStats;
@@ -98,9 +99,9 @@ pub const ENV_RESTART_COUNT: &str = "LS_MP_RESTART_COUNT";
 pub const ENV_INTEGRITY: &str = "LS_INTEGRITY";
 
 const RENDEZVOUS_TIMEOUT: Duration = Duration::from_secs(60);
-const DEFAULT_COLLECTIVE_TIMEOUT: Duration = Duration::from_secs(180);
-const DEFAULT_HEARTBEAT: Duration = Duration::from_millis(500);
-const DEFAULT_SILENCE: Duration = Duration::from_secs(30);
+const DEFAULT_COLLECTIVE_TIMEOUT_SECS: u64 = 180;
+const DEFAULT_HEARTBEAT_MS: u64 = 500;
+const DEFAULT_SILENCE_SECS: u64 = 30;
 
 /// Exit code of a worker whose launcher died (watchdog).
 pub(crate) const EXIT_ORPHANED: i32 = 124;
@@ -267,9 +268,7 @@ impl std::error::Error for TransportError {}
 /// in benchmark output.
 pub fn restart_count() -> u64 {
     static COUNT: OnceLock<u64> = OnceLock::new();
-    *COUNT.get_or_init(|| {
-        std::env::var(ENV_RESTART_COUNT).ok().and_then(|v| v.parse().ok()).unwrap_or(0)
-    })
+    *COUNT.get_or_init(|| var_or(ENV_RESTART_COUNT, 0).unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// How much end-to-end integrity checking the runtime performs
@@ -461,6 +460,25 @@ fn fatal(msg: &str) -> ! {
     let rank = std::env::var(ENV_RANK).unwrap_or_default();
     eprintln!("ls-mp[rank {rank}]: fatal: {msg}");
     std::process::exit(EXIT_PROTOCOL);
+}
+
+/// The worker-side timing knobs: [`ENV_TIMEOUT`], [`ENV_HEARTBEAT_MS`]
+/// and [`ENV_SILENCE_SECS`]. Workers inherit them from the launcher, so
+/// the supervisor parses them too, before it spawns anything.
+pub(crate) struct WorkerTiming {
+    pub(crate) timeout: Duration,
+    pub(crate) hb_interval: Duration,
+    pub(crate) silence: Duration,
+}
+
+impl WorkerTiming {
+    pub(crate) fn from_env() -> Result<WorkerTiming, EnvError> {
+        Ok(WorkerTiming {
+            timeout: Duration::from_secs(var_or(ENV_TIMEOUT, DEFAULT_COLLECTIVE_TIMEOUT_SECS)?),
+            hb_interval: Duration::from_millis(var_or(ENV_HEARTBEAT_MS, DEFAULT_HEARTBEAT_MS)?),
+            silence: Duration::from_secs(var_or(ENV_SILENCE_SECS, DEFAULT_SILENCE_SECS)?),
+        })
+    }
 }
 
 /// One collective inbox per peer: frames arrive FIFO from the peer's
@@ -749,21 +767,8 @@ impl MpRuntime {
         let job_dir = PathBuf::from(
             std::env::var_os(ENV_JOB).unwrap_or_else(|| fatal(&format!("{ENV_JOB} missing"))),
         );
-        let timeout = std::env::var(ENV_TIMEOUT)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .map(Duration::from_secs)
-            .unwrap_or(DEFAULT_COLLECTIVE_TIMEOUT);
-        let hb_interval = std::env::var(ENV_HEARTBEAT_MS)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .map(Duration::from_millis)
-            .unwrap_or(DEFAULT_HEARTBEAT);
-        let silence = std::env::var(ENV_SILENCE_SECS)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .map(Duration::from_secs)
-            .unwrap_or(DEFAULT_SILENCE);
+        let WorkerTiming { timeout, hb_interval, silence } =
+            WorkerTiming::from_env().unwrap_or_else(|e| fatal(&e.to_string()));
         let faults = FaultPlan::from_env();
         let attempt = restart_count();
 

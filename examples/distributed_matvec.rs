@@ -49,7 +49,10 @@ fn main() {
     // LS_LOCALES also sizes the in-process cluster, so the two backends
     // can be compared on the same shape (reduction order follows it).
     let locales = mp.map(|m| m.n_locales()).unwrap_or_else(|| {
-        std::env::var(transport::ENV_LOCALES).ok().and_then(|v| v.parse().ok()).unwrap_or(4)
+        exact_diag::runtime::env::var_or(transport::ENV_LOCALES, 4).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
     });
     let cores = 2usize;
 
@@ -158,7 +161,7 @@ fn main() {
     // Rayleigh quotient of the cooled state through one more product.
     let mut h_cooled = DistVec::<f64>::zeros(&basis.states().lens());
     matvec_pc(&cluster, &op, &basis, &cooled, &mut h_cooled, PcOptions::default());
-    let e_cooled = exact_diag::dist::blas::dot(&cooled, &h_cooled);
+    let e_cooled = exact_diag::eigen::KrylovVec::dot(&cooled, &h_cooled);
     say!(
         "imaginary time τ=4.0 : ⟨H⟩ = {:.9} (E0 = {:.9}, {:.1} ms, state stayed distributed)",
         e_cooled,

@@ -103,7 +103,10 @@ fn main() {
 
     let mp = transport::active();
     let locales = mp.map(|m| m.n_locales()).unwrap_or_else(|| {
-        std::env::var(transport::ENV_LOCALES).ok().and_then(|v| v.parse().ok()).unwrap_or(2)
+        exact_diag::runtime::env::var_or(transport::ENV_LOCALES, 2).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
     });
     say!(
         "== {} cluster: {locales} locales x 2 cores (backend: {}) ==",

@@ -4,11 +4,11 @@
 
 mod common;
 
-use exact_diag::baseline::{matvec_alltoall, StoredMatrix};
+use exact_diag::baseline::matvec_alltoall;
 use exact_diag::basis::{SectorSpec, SpinBasis, SymmetrizedOperator};
 use exact_diag::core::matvec::apply_serial;
 use exact_diag::dist::convert::{hashed_masks, to_block};
-use exact_diag::dist::matvec::{matvec_batched, matvec_naive, matvec_pc, PcOptions};
+use exact_diag::dist::matvec::{matvec_pc, PcOptions};
 use exact_diag::dist::{
     block_to_hashed, dist_thick_restart_lanczos, enumerate_dist, hashed_to_block,
     DistRestartOptions,
@@ -82,14 +82,6 @@ fn every_matvec_agrees_with_serial_reference() {
         };
 
         let mut yd = DistVec::<f64>::zeros(&lens);
-        matvec_naive(&cluster, &op, &dist, &xd, &mut yd);
-        check(&yd, "naive");
-
-        let mut yd = DistVec::<f64>::zeros(&lens);
-        matvec_batched(&cluster, &op, &dist, &xd, &mut yd, 32);
-        check(&yd, "batched");
-
-        let mut yd = DistVec::<f64>::zeros(&lens);
         matvec_pc(
             &cluster,
             &op,
@@ -103,11 +95,6 @@ fn every_matvec_agrees_with_serial_reference() {
         let mut yd = DistVec::<f64>::zeros(&lens);
         matvec_alltoall(&cluster, &op, &dist, &xd, &mut yd);
         check(&yd, "alltoall baseline");
-
-        let stored = StoredMatrix::build(&cluster, &op, &dist);
-        let mut yd = DistVec::<f64>::zeros(&lens);
-        stored.apply(&cluster, &xd, &mut yd);
-        check(&yd, "stored baseline");
     }
 }
 
@@ -252,7 +239,7 @@ fn degenerate_layouts_enumerate_multiply_and_solve() {
 /// test so the global override is never mutated concurrently.
 #[test]
 fn dist_blas_bit_exact_across_thread_counts() {
-    use exact_diag::dist::blas;
+    use exact_diag::eigen::KrylovVec;
     let lens = [40_000usize, 0, 25_000, 1];
     let mk = |seed: u64| {
         let mut k = 0u64;
@@ -275,13 +262,13 @@ fn dist_blas_bit_exact_across_thread_counts() {
     let vs = [mk(31), mk(47), mk(59)];
     let run = |threads: usize| {
         let prev = rayon::set_thread_limit(threads);
-        let d = blas::dot(&x, &y);
-        let n = blas::norm_sqr(&x);
-        let coeffs = blas::multi_dot(&vs, &y);
+        let d = x.dot(&y);
+        let n = x.norm_sqr();
+        let coeffs = KrylovVec::multi_dot(&vs, &y);
         let mut w = y.clone();
-        let fused = blas::multi_axpy_norm_sqr(&coeffs, &vs, &mut w);
+        let fused = KrylovVec::multi_axpy_norm_sqr(&coeffs, &vs, &mut w);
         let mut z = y.clone();
-        let an = blas::axpy_norm_sqr(-0.37, &x, &mut z);
+        let an = z.axpy_norm_sqr(-0.37, &x);
         rayon::set_thread_limit(prev);
         (
             d.to_bits(),
